@@ -15,19 +15,20 @@ import (
 // (possibly with different algorithms and bounds) and individually
 // retrievable without decoding the others.
 //
-// Three layouts exist. v1 (magic 0xC7) packs blobs back to back with
-// only lengths in the directory, so offsets are implicit. v2 (magic
-// 0xC9, what ArchiveWriter emits) records each blob's offset
-// explicitly, directory up front:
+// Three layouts exist; only v3 is written today. v1 (magic 0xC7) packs
+// blobs back to back with only lengths in the directory, so offsets are
+// implicit. v2 (magic 0xC9) records each blob's offset explicitly,
+// directory up front:
 //
 //	archive := magic(0xC9) version(0x01) uvarint(count) entry*
 //	           crc32be(blob area) blob area
 //	entry   := uvarint(name len) name uvarint(offset) uvarint(blob len)
 //
-// with offsets relative to the start of the blob area. v3 (magic 0xCA,
-// what ArchiveStreamWriter emits) moves the directory to the tail so
-// blobs can stream to the sink as fields complete, before their sizes
-// are known:
+// with offsets relative to the start of the blob area. Both are
+// decode-only: earlier versions of this package wrote them. v3 (magic
+// 0xCA, what ArchiveStreamWriter emits) moves the directory to the tail
+// so blobs can stream to the sink as fields complete, before their
+// sizes are known:
 //
 //	archive := magic(0xCA) version(0x01) blob area dir trailer
 //	dir     := uvarint(count) entry*            // same entry grammar as v2
@@ -56,69 +57,6 @@ const (
 	maxFieldName     = 4096
 )
 
-// ArchiveWriter accumulates fields.
-type ArchiveWriter struct {
-	names []string
-	blobs [][]byte
-}
-
-// NewArchiveWriter returns an empty archive builder.
-func NewArchiveWriter() *ArchiveWriter { return &ArchiveWriter{} }
-
-// AddCompressed adds an already-compressed stream under name. Names must
-// be unique and non-empty.
-func (w *ArchiveWriter) AddCompressed(name string, stream []byte) error {
-	if name == "" || len(name) > maxFieldName {
-		return fmt.Errorf("repro: invalid field name %q", name)
-	}
-	for _, n := range w.names {
-		if n == name {
-			return fmt.Errorf("repro: duplicate field %q", name)
-		}
-	}
-	if !IsParallelStream(stream) && !IsStreamContainer(stream) {
-		if _, err := AlgorithmOf(stream); err != nil {
-			return fmt.Errorf("repro: field %q: %w", name, err)
-		}
-	}
-	w.names = append(w.names, name)
-	w.blobs = append(w.blobs, stream)
-	return nil
-}
-
-// Add compresses data under a point-wise relative bound and adds it.
-func (w *ArchiveWriter) Add(name string, data []float64, dims []int, relBound float64, algo Algorithm, opts *Options) error {
-	buf, err := Compress(data, dims, relBound, algo, opts)
-	if err != nil {
-		return fmt.Errorf("repro: field %q: %w", name, err)
-	}
-	return w.AddCompressed(name, buf)
-}
-
-// Bytes serializes the archive in the v2 layout (explicit offsets,
-// packed back to back).
-func (w *ArchiveWriter) Bytes() []byte {
-	out := []byte{archiveMagicV2, archiveV2Ver}
-	out = bitio.AppendUvarint(out, uint64(len(w.names)))
-	var off uint64
-	for i, n := range w.names {
-		out = bitio.AppendUvarint(out, uint64(len(n)))
-		out = append(out, n...)
-		out = bitio.AppendUvarint(out, off)
-		out = bitio.AppendUvarint(out, uint64(len(w.blobs[i])))
-		off += uint64(len(w.blobs[i]))
-	}
-	var crc uint32
-	for _, b := range w.blobs {
-		crc = crc32.Update(crc, crc32.IEEETable, b)
-	}
-	out = binary.BigEndian.AppendUint32(out, crc)
-	for _, b := range w.blobs {
-		out = append(out, b...)
-	}
-	return out
-}
-
 // ArchiveReader indexes an archive for random field access.
 type ArchiveReader struct {
 	names  []string
@@ -127,8 +65,9 @@ type ArchiveReader struct {
 	limits *DecodeLimits
 }
 
-// OpenArchive parses an archive produced by ArchiveWriter.Bytes (v2) or
-// by earlier versions of this package (v1).
+// OpenArchive parses an in-memory archive: the v3 layout
+// ArchiveStreamWriter emits, or the legacy v1/v2 layouts earlier
+// versions of this package wrote.
 func OpenArchive(buf []byte) (*ArchiveReader, error) {
 	return OpenArchiveLimits(buf, nil)
 }

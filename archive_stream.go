@@ -146,7 +146,7 @@ func (aw *ArchiveStreamWriter) AddCompressed(name string, stream []byte) error {
 	if err := aw.checkName(name); err != nil {
 		return err
 	}
-	if !IsParallelStream(stream) && !IsStreamContainer(stream) {
+	if !isParallelContainer(stream) && !IsStreamContainer(stream) {
 		if _, err := AlgorithmOf(stream); err != nil {
 			return fmt.Errorf("repro: field %q: %w", name, err)
 		}

@@ -1,9 +1,11 @@
 package repro
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -17,17 +19,23 @@ import (
 
 func TestArchiveRoundTrip(t *testing.T) {
 	fields := datagen.NYX(16, 40)
-	w := NewArchiveWriter()
+	var buf bytes.Buffer
+	w, err := NewArchiveStreamWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rel := 1e-2
 	for i := range fields {
 		f := &fields[i]
-		if err := w.Add(f.Name, f.Data, f.Dims, rel, SZT, nil); err != nil {
+		if _, err := w.AddField(f.Name, bytes.NewReader(rawLE(f.Data)), f.Dims, rel, SZT); err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
 	}
-	buf := w.Bytes()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	r, err := OpenArchive(buf)
+	r, err := OpenArchive(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +67,25 @@ func TestArchiveRoundTrip(t *testing.T) {
 	}
 }
 
+// TestArchiveMixedAlgorithmsAndModes bundles every container kind a
+// field can hold — plain relative, plain absolute, stream, and a legacy
+// parallel blob — into one archive.
 func TestArchiveMixedAlgorithmsAndModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	data := make([]float64, 1000)
 	for i := range data {
 		data[i] = math.Exp(rng.NormFloat64())
 	}
-	w := NewArchiveWriter()
-	if err := w.Add("szt", data, []int{1000}, 1e-3, SZT, nil); err != nil {
+	var buf bytes.Buffer
+	w, err := NewArchiveStreamWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	szt, err := Compress(data, []int{1000}, 1e-3, SZT, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AddCompressed("szt", szt); err != nil {
 		t.Fatal(err)
 	}
 	abs, err := CompressAbs(data, []int{1000}, 0.01, SZABS, nil)
@@ -76,36 +95,42 @@ func TestArchiveMixedAlgorithmsAndModes(t *testing.T) {
 	if err := w.AddCompressed("abs", abs); err != nil {
 		t.Fatal(err)
 	}
-	par, err := CompressParallel(data, []int{1000}, 1e-2, FPZIP, &ParallelOptions{Chunks: 3})
-	if err != nil {
+	if _, err := w.AddField("stream", bytes.NewReader(rawLE(data)), []int{1000}, 1e-2, FPZIP,
+		WithChunkRows(300)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddCompressed("par", par); err != nil {
+	if err := w.AddCompressed("par", readLegacy(t, "parallel.bin")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	r, err := OpenArchive(w.Bytes())
+	r, err := OpenArchive(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"szt", "abs", "par"} {
+	for name, want := range map[string]int{"szt": 1000, "abs": 1000, "stream": 1000, "par": 40} {
 		dec, _, err := r.Field(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(dec) != 1000 {
-			t.Fatalf("%s: length %d", name, len(dec))
+		if len(dec) != want {
+			t.Fatalf("%s: length %d, want %d", name, len(dec), want)
 		}
 	}
 	// Raw access returns the stream unmodified.
 	raw, err := r.Raw("abs")
-	if err != nil || len(raw) != len(abs) {
+	if err != nil || !bytes.Equal(raw, abs) {
 		t.Fatalf("Raw: %v len %d vs %d", err, len(raw), len(abs))
 	}
 }
 
 func TestArchiveWriterValidation(t *testing.T) {
-	w := NewArchiveWriter()
+	w, err := NewArchiveStreamWriter(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := w.AddCompressed("", []byte{1}); err == nil {
 		t.Fatal("empty name accepted")
 	}
@@ -124,23 +149,34 @@ func TestArchiveWriterValidation(t *testing.T) {
 	}
 }
 
+// TestArchiveEmpty opens a field-less archive in the current (v3) and
+// the legacy v2 layout.
 func TestArchiveEmpty(t *testing.T) {
-	buf := NewArchiveWriter().Bytes()
-	r, err := OpenArchive(buf)
+	var v3 bytes.Buffer
+	w, err := NewArchiveStreamWriter(&v3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Fields()) != 0 {
-		t.Fatal("phantom fields")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, buf := range map[string][]byte{"v3": v3.Bytes(), "v2": buildArchiveV2(nil, nil)} {
+		r, err := OpenArchive(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(r.Fields()) != 0 {
+			t.Fatalf("%s: phantom fields", name)
+		}
 	}
 }
 
+// TestArchiveCorrupt damages the committed v2 archive.
 func TestArchiveCorrupt(t *testing.T) {
-	w := NewArchiveWriter()
-	if err := w.Add("f", []float64{1, 2, 3, 4}, []int{4}, 0.1, SZT, nil); err != nil {
-		t.Fatal(err)
+	buf := readLegacy(t, "archive_v2.bin")
+	if _, err := OpenArchive(buf); err != nil {
+		t.Fatalf("clean fixture: %v", err)
 	}
-	buf := w.Bytes()
 	for _, cut := range []int{0, 1, 3, len(buf) - 1} {
 		if _, err := OpenArchive(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)

@@ -300,10 +300,8 @@ func BenchmarkDecompressISABELA(b *testing.B) { benchDecompress(b, repro.ISABELA
 
 // --- Streaming pipeline benchmarks -------------------------------------
 //
-// BenchmarkCompressParallel vs BenchmarkCompressStream on the same field
-// and chunking is the acceptance comparison for the bounded-memory
-// pipeline: the streaming path must stay within ~10% of the in-memory
-// parallel path's throughput while holding O(workers × chunk) floats.
+// The bounded-memory pipeline on one 2 MiB field split into
+// benchStreamChunks chunks, holding O(workers × chunk) floats.
 
 func benchStreamField(b *testing.B) (datagen.Field, []byte) {
 	b.Helper()
@@ -317,23 +315,6 @@ func benchStreamField(b *testing.B) (datagen.Field, []byte) {
 
 const benchStreamChunks = 8
 
-func BenchmarkCompressParallel(b *testing.B) {
-	f, _ := benchStreamField(b)
-	b.SetBytes(int64(f.Bytes()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err := repro.CompressParallel(f.Data, f.Dims, 1e-2, repro.SZT,
-			&repro.ParallelOptions{Chunks: benchStreamChunks})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(f.Bytes())/float64(len(buf)), "ratio")
-		}
-	}
-}
-
 func BenchmarkCompressStream(b *testing.B) {
 	f, raw := benchStreamField(b)
 	chunkRows := (f.Dims[0] + benchStreamChunks - 1) / benchStreamChunks
@@ -344,8 +325,8 @@ func BenchmarkCompressStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out.Reset()
-		st, err := repro.CompressStream(bytes.NewReader(raw), &out, f.Dims, 1e-2, repro.SZT,
-			&repro.StreamOptions{ChunkRows: chunkRows})
+		st, err := repro.CompressStreamOpts(bytes.NewReader(raw), &out, f.Dims, 1e-2, repro.SZT,
+			repro.WithChunkRows(chunkRows))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -360,8 +341,8 @@ func BenchmarkDecompressStream(b *testing.B) {
 	f, raw := benchStreamField(b)
 	chunkRows := (f.Dims[0] + benchStreamChunks - 1) / benchStreamChunks
 	var comp bytes.Buffer
-	if _, err := repro.CompressStream(bytes.NewReader(raw), &comp, f.Dims, 1e-2, repro.SZT,
-		&repro.StreamOptions{ChunkRows: chunkRows}); err != nil {
+	if _, err := repro.CompressStreamOpts(bytes.NewReader(raw), &comp, f.Dims, 1e-2, repro.SZT,
+		repro.WithChunkRows(chunkRows)); err != nil {
 		b.Fatal(err)
 	}
 	stream := comp.Bytes()
@@ -390,8 +371,8 @@ func BenchmarkReadRows(b *testing.B) {
 		binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
 	}
 	var comp bytes.Buffer
-	if _, err := repro.CompressStream(bytes.NewReader(raw), &comp, []int{rows, stride},
-		1e-2, repro.SZT, &repro.StreamOptions{ChunkRows: 1}); err != nil {
+	if _, err := repro.CompressStreamOpts(bytes.NewReader(raw), &comp, []int{rows, stride},
+		1e-2, repro.SZT, repro.WithChunkRows(1)); err != nil {
 		b.Fatal(err)
 	}
 	stream := comp.Bytes()

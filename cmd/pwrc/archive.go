@@ -17,76 +17,37 @@ import (
 )
 
 // Archive mode: bundle every field of a MANIFEST.txt (as written by
-// cmd/datagen) into one compressed archive, or extract an archive back to
-// raw files.
+// cmd/datagen) into one v3 archive, or extract an archive back to raw
+// files.
 //
 //	pwrc -c -archive -manifest fields/MANIFEST.txt -algo sz_t -rel 1e-3 -out snap.arc
 //	pwrc -d -archive -in snap.arc -outdir restored/
 //
-// With -stream the bundle is a v3 streaming archive: each field flows
-// through the bounded-memory chunk pipeline straight into the container
-// (no field is ever held whole), and extraction serves fields through
-// the seekable index — -field pulls one field without touching the rest.
+// Without -stream each field is loaded whole and compressed into a
+// plain container, byte-identical to a `pwrc -c` of the same file. With
+// -stream each field flows through the bounded-memory chunk pipeline
+// straight into the archive (no field is ever held whole), and
+// extraction serves fields through the seekable index — -field pulls
+// one field without touching the rest.
 
-func compressArchive(manifest string, algo repro.Algorithm, rel float64, opts *repro.Options, out string, f32 bool) error {
-	dir := filepath.Dir(manifest)
-	mf, err := os.Open(manifest)
-	if err != nil {
-		return err
-	}
-	defer mf.Close() //lint:allow errdrop read-only file; scanner errors are checked
-
-	w := repro.NewArchiveWriter()
-	scanner := bufio.NewScanner(mf)
-	totalRaw := 0
-	t0 := time.Now()
-	for scanner.Scan() {
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.Split(line, "\t")
-		if len(parts) < 2 {
-			return fmt.Errorf("malformed manifest line %q", line)
-		}
-		name, dimsStr := parts[0], parts[1]
-		dims, err := parseDims(dimsStr)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		data, err := readRaw(filepath.Join(dir, name), f32)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		buf, err := repro.Compress(data, dims, rel, algo, opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		if err := w.AddCompressed(name+"|"+dimsStr, buf); err != nil {
-			return err
-		}
-		totalRaw += len(data) * 8
-		fmt.Printf("  %s: %d -> %d bytes\n", name, len(data)*8, len(buf))
-	}
-	if err := scanner.Err(); err != nil {
-		return err
-	}
-	arc := w.Bytes()
-	if err := os.WriteFile(out, arc, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("archive %s: %d -> %d bytes (CR %.2f) in %v\n",
-		out, totalRaw, len(arc), float64(totalRaw)/float64(len(arc)),
-		time.Since(t0).Round(time.Millisecond))
-	return nil
+// archiveSpec carries the per-field settings of an archive bundle.
+type archiveSpec struct {
+	algo   repro.Algorithm
+	rel    float64
+	copts  *repro.Options       // compressor options (base, …) for every field
+	sopts  []repro.StreamOption // pipeline options; used with stream only
+	stream bool                 // route fields through the chunk pipeline
+	f32    bool                 // raw inputs are float32
+	// wrapOut, when set, wraps the output file — the hook tests use to
+	// inject write faults.
+	wrapOut func(io.Writer) io.Writer
 }
 
-// streamCompressArchive bundles every manifest field into one v3
-// streaming archive. Each field file streams through the bounded-memory
-// pipeline directly into the container — peak memory is set by the
-// chunking knobs (or -mem-budget), not by the largest field — and the
-// archive is committed atomically only after the directory seals.
-func streamCompressArchive(manifest string, algo repro.Algorithm, rel float64, opts []repro.StreamOption, out string, f32 bool) error {
+// compressArchive bundles every manifest field into one v3 archive
+// written through NewArchiveStreamWriter. The archive is committed
+// atomically only after the directory seals, so a failure at any point
+// publishes nothing.
+func compressArchive(manifest, out string, spec archiveSpec) error {
 	dir := filepath.Dir(manifest)
 	mf, err := os.Open(manifest)
 	if err != nil {
@@ -99,8 +60,12 @@ func streamCompressArchive(manifest string, algo repro.Algorithm, rel float64, o
 		return err
 	}
 	defer dst.Abort()
-	bw := bufio.NewWriterSize(dst, 1<<20)
-	aw, err := repro.NewArchiveStreamWriter(bw, opts...)
+	var sink io.Writer = dst
+	if spec.wrapOut != nil {
+		sink = spec.wrapOut(dst)
+	}
+	bw := bufio.NewWriterSize(sink, 1<<20)
+	aw, err := repro.NewArchiveStreamWriter(bw, spec.sopts...)
 	if err != nil {
 		return err
 	}
@@ -122,13 +87,13 @@ func streamCompressArchive(manifest string, algo repro.Algorithm, rel float64, o
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		st, err := streamArchiveField(aw, filepath.Join(dir, name), name+"|"+dimsStr, dims, rel, algo, f32)
+		rawN, blobN, err := addArchiveField(aw, filepath.Join(dir, name), name+"|"+dimsStr, dims, spec)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		totalRaw += st.BytesIn
-		totalBlob += st.BytesOut
-		fmt.Printf("  %s: %d -> %d bytes (%d chunks)\n", name, st.BytesIn, st.BytesOut, st.Chunks)
+		totalRaw += rawN
+		totalBlob += blobN
+		fmt.Printf("  %s: %d -> %d bytes\n", name, rawN, blobN)
 	}
 	if err := scanner.Err(); err != nil {
 		return err
@@ -142,25 +107,45 @@ func streamCompressArchive(manifest string, algo repro.Algorithm, rel float64, o
 	if err := dst.Commit(); err != nil {
 		return err
 	}
-	fmt.Printf("stream archive %s: %d -> %d blob bytes (CR %.2f) in %v\n",
+	fmt.Printf("archive %s: %d -> %d blob bytes (CR %.2f) in %v\n",
 		out, totalRaw, totalBlob, float64(totalRaw)/float64(totalBlob),
 		time.Since(t0).Round(time.Millisecond))
 	return nil
 }
 
-// streamArchiveField streams one raw field file into the archive writer,
-// scoping the input file's lifetime to the call.
-func streamArchiveField(aw *repro.ArchiveStreamWriter, path, entry string, dims []int, rel float64, algo repro.Algorithm, f32 bool) (*repro.StreamStats, error) {
+// addArchiveField seals one raw field file into the archive and returns
+// its raw and compressed sizes, scoping the input file's lifetime to
+// the call.
+func addArchiveField(aw *repro.ArchiveStreamWriter, path, entry string, dims []int, spec archiveSpec) (rawN, blobN int64, err error) {
+	if !spec.stream {
+		data, err := readRaw(path, spec.f32)
+		if err != nil {
+			return 0, 0, err
+		}
+		buf, err := repro.Compress(data, dims, spec.rel, spec.algo, spec.copts)
+		if err != nil {
+			return 0, 0, err
+		}
+		if err := aw.AddCompressed(entry, buf); err != nil {
+			return 0, 0, err
+		}
+		return int64(len(data)) * 8, int64(len(buf)), nil
+	}
 	src, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	defer src.Close() //lint:allow errdrop read-only input
 	r := faultio.Retry(bufio.NewReaderSize(src, 1<<20), inputRetries)
-	if f32 {
-		return aw.AddField32(entry, r, dims, rel, algo)
+	add := aw.AddField
+	if spec.f32 {
+		add = aw.AddField32
 	}
-	return aw.AddField(entry, r, dims, rel, algo)
+	st, err := add(entry, r, dims, spec.rel, spec.algo, repro.WithCompressorOptions(spec.copts))
+	if err != nil {
+		return 0, 0, err
+	}
+	return st.BytesIn, st.BytesOut, nil
 }
 
 // streamExtractArchive restores fields from a v3 streaming archive via
@@ -284,12 +269,14 @@ func writeValsLE(w io.Writer, vals []float64, f32 bool) error {
 	return err
 }
 
-func extractArchive(in, outdir string, f32 bool) error {
+// extractArchive restores every field of an in-memory archive (any
+// layout OpenArchive reads) to outdir, under the decode limits lim.
+func extractArchive(in, outdir string, lim *repro.DecodeLimits, f32 bool) error {
 	buf, err := os.ReadFile(in)
 	if err != nil {
 		return err
 	}
-	r, err := repro.OpenArchive(buf)
+	r, err := repro.OpenArchiveLimits(buf, lim)
 	if err != nil {
 		return err
 	}
@@ -297,10 +284,7 @@ func extractArchive(in, outdir string, f32 bool) error {
 		return err
 	}
 	for _, entry := range r.Fields() {
-		name := entry
-		if i := strings.IndexByte(entry, '|'); i >= 0 {
-			name = entry[:i]
-		}
+		name := fieldBaseName(entry)
 		data, dims, err := r.Field(entry)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)

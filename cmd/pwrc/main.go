@@ -19,9 +19,9 @@
 //
 // -mem-budget caps the streaming pipeline's resident buffer memory,
 // deriving chunk size and worker count from the byte budget. Combined
-// with -archive, -stream bundles a whole manifest into one v3 streaming
-// archive (or serves single fields out of one without touching the
-// rest):
+// with -archive, -stream routes every field of a manifest through the
+// pipeline into one v3 archive (or serves single fields out of one
+// without touching the rest):
 //
 //	pwrc -c -archive -stream -manifest fields/MANIFEST.txt -rel 1e-3 -out snap.arcs -mem-budget 67108864
 //	pwrc -d -archive -stream -in snap.arcs -outdir restored/
@@ -73,7 +73,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "streaming worker count (default GOMAXPROCS)")
 		chunkRows  = flag.Int("chunk-rows", 0, "rows of the slowest dimension per streamed chunk (default ~256Ki elements)")
 		parity     = flag.Int("parity", 0, "with -c -stream: emit one XOR parity frame per k data chunks so salvage can repair a lost chunk per group (~1/k size overhead; 0 = no parity)")
-		maxElems   = flag.Int64("max-elements", 1<<33, "with -d -stream: refuse containers declaring more than n field elements — a hostile header cannot demand unbounded output (0 = unlimited)")
+		maxElems   = flag.Int64("max-elements", 1<<33, "with -d -stream or -d -archive: refuse containers declaring more than n field elements — a hostile header cannot demand unbounded output (0 = unlimited)")
 		memBudget  = flag.Int64("mem-budget", 0, "with -stream: target peak resident buffer memory in bytes; unset chunk-rows/worker knobs are derived from it (0 = no budget)")
 		field      = flag.String("field", "", "with -d -archive -stream: extract only this field (manifest name or full entry)")
 	)
@@ -112,15 +112,13 @@ func main() {
 			if !(*rel > 0 && *rel < 1) {
 				fatalf("archive compression needs -rel in (0,1)")
 			}
+			copts, err := parseBase(*base)
+			check(err)
+			spec := archiveSpec{algo: algo, rel: *rel, copts: copts, stream: *stream, f32: *f32}
 			if *stream {
-				copts, err := parseBase(*base)
-				check(err)
-				sopts := append(streamFlagOptions(*workers, *chunkRows, *parity, *verify, *memBudget),
-					repro.WithCompressorOptions(copts))
-				check(streamCompressArchive(*manifest, algo, *rel, sopts, *out, *f32))
-			} else {
-				check(compressArchive(*manifest, algo, *rel, nil, *out, *f32))
+				spec.sopts = streamFlagOptions(*workers, *chunkRows, *parity, *verify, *memBudget)
 			}
+			check(compressArchive(*manifest, *out, spec))
 		default:
 			if *in == "" {
 				fatalf("archive extraction needs -in")
@@ -136,7 +134,7 @@ func main() {
 				if *outdir == "" {
 					fatalf("archive extraction needs -in and -outdir")
 				}
-				check(extractArchive(*in, *outdir, *f32))
+				check(extractArchive(*in, *outdir, decodeLimits(*maxElems), *f32))
 			}
 		}
 		return
@@ -320,8 +318,6 @@ func streamCompressFile(in, out string, dims []int, rel float64, algo repro.Algo
 	}
 }
 
-// streamDecompressFile decodes a stream container in -> out, committing
-// the raw output atomically.
 // decodeLimits builds the opt-in decode ceilings from -max-elements;
 // 0 opts out entirely (the library treats nil as unlimited).
 func decodeLimits(maxElems int64) *repro.DecodeLimits {
@@ -331,6 +327,8 @@ func decodeLimits(maxElems int64) *repro.DecodeLimits {
 	return &repro.DecodeLimits{MaxElements: maxElems}
 }
 
+// streamDecompressFile decodes a stream container in -> out, committing
+// the raw output atomically.
 func streamDecompressFile(in, out string, lim *repro.DecodeLimits, opts []repro.StreamOption) {
 	src, err := os.Open(in)
 	check(err)

@@ -10,8 +10,8 @@ import (
 	"repro/internal/testutil"
 )
 
-// Cancellation tests: every Ctx entry point must return the context's
-// error when cancelled (before or during the work) and tear down its
+// Cancellation tests: every entry point taking WithContext must return
+// the context's error when cancelled (before or during the work) and tear down its
 // worker pool completely — zero extra goroutines after settle, which
 // testutil.NoLeak asserts at test end.
 
@@ -48,8 +48,8 @@ func TestCompressStreamCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var sink bytes.Buffer
-	_, err := CompressStreamCtx(ctx, bytes.NewReader(rawLE(data)), &sink, dims, 1e-2, SZT,
-		&StreamOptions{Workers: 2, ChunkRows: 8})
+	_, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &sink, dims, 1e-2, SZT,
+		WithContext(ctx), WithWorkers(2), WithChunkRows(8))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -63,8 +63,8 @@ func TestCompressStreamCtxMidStream(t *testing.T) {
 	defer cancel()
 	src := &cancelAfterReader{r: bytes.NewReader(raw), n: int64(len(raw) / 4), cancel: cancel}
 	var sink bytes.Buffer
-	stats, err := CompressStreamCtx(ctx, src, &sink, dims, 1e-2, SZT,
-		&StreamOptions{Workers: 2, ChunkRows: 8})
+	stats, err := CompressStreamOpts(src, &sink, dims, 1e-2, SZT,
+		WithContext(ctx), WithWorkers(2), WithChunkRows(8))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -77,22 +77,22 @@ func TestDecompressStreamCtxMidStream(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	data, dims := bigField()
 	var comp bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(rawLE(data)), &comp, dims, 1e-2, SZT,
-		&StreamOptions{Workers: 2, ChunkRows: 8}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &comp, dims, 1e-2, SZT,
+		WithWorkers(2), WithChunkRows(8)); err != nil {
 		t.Fatal(err)
 	}
 	stream := comp.Bytes()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DecompressStreamCtx(ctx, bytes.NewReader(stream), io.Discard, nil); !errors.Is(err, context.Canceled) {
+	if _, err := DecompressStreamOpts(bytes.NewReader(stream), io.Discard, WithContext(ctx)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
 	}
 
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	src := &cancelAfterReader{r: bytes.NewReader(stream), n: int64(len(stream) / 4), cancel: cancel}
-	stats, err := DecompressStreamCtx(ctx, src, io.Discard, nil)
+	stats, err := DecompressStreamOpts(src, io.Discard, WithContext(ctx))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-stream: err = %v, want context.Canceled", err)
 	}
@@ -101,25 +101,18 @@ func TestDecompressStreamCtxMidStream(t *testing.T) {
 	}
 }
 
+// TestParallelCtxCancelled covers the legacy parallel decode pool.
 func TestParallelCtxCancelled(t *testing.T) {
 	defer testutil.NoLeak(t)()
-	data, dims := bigField()
+	buf, f := legacyParallel(t, SZT)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CompressParallel(data, dims, 1e-2, SZT,
-		&ParallelOptions{Chunks: 16, Ctx: ctx}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("compress: err = %v, want context.Canceled", err)
-	}
-	buf, err := CompressParallel(data, dims, 1e-2, SZT, &ParallelOptions{Chunks: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := DecompressParallelCtx(ctx, buf, 0, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := decompressParallel(ctx, buf, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("decompress: err = %v, want context.Canceled", err)
 	}
 	// A live context must not disturb the result.
-	dec, gotDims, err := DecompressParallelCtx(context.Background(), buf, 0, nil)
-	if err != nil || len(dec) != len(data) || len(gotDims) != len(dims) {
+	dec, gotDims, err := decompressParallel(context.Background(), buf, nil)
+	if err != nil || len(dec) != len(f.Data) || len(gotDims) != len(f.Dims) {
 		t.Fatalf("live ctx decode: err=%v len=%d", err, len(dec))
 	}
 }
@@ -133,12 +126,12 @@ func TestStreamCtxNilBehavesAsBackground(t *testing.T) {
 	}
 	var comp bytes.Buffer
 	//lint:allow all nil ctx is the documented convenience form under test
-	if _, err := CompressStreamCtx(nil, bytes.NewReader(rawLE(data)), &comp, []int{64}, 1e-2, SZT, nil); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &comp, []int{64}, 1e-2, SZT, WithContext(nil)); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
 	//lint:allow all nil ctx is the documented convenience form under test
-	if _, err := DecompressStreamCtx(nil, bytes.NewReader(comp.Bytes()), &out, nil); err != nil {
+	if _, err := DecompressStreamOpts(bytes.NewReader(comp.Bytes()), &out, WithContext(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes()[:8], rawLE(data)[:8]) && out.Len() != len(data)*8 {

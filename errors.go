@@ -46,10 +46,10 @@ var (
 )
 
 // ErrVerifyFailed reports a chunk that failed verify-after-encode
-// (StreamOptions.VerifyOnWrite or ParallelOptions.Verify): the sealed
-// payload did not decode back to its source rows within the promised
-// guarantees. It indicates encoder or memory corruption at write time,
-// caught before the container was committed.
+// (WithVerifyOnWrite): the sealed payload did not decode back to its
+// source rows within the promised guarantees. It indicates encoder or
+// memory corruption at write time, caught before the container was
+// committed.
 var ErrVerifyFailed = fmt.Errorf("repro: verify-after-encode failed")
 
 // recoverDecode is the panic boundary at every exported decode entry

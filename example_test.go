@@ -1,6 +1,8 @@
 package repro_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -48,20 +50,33 @@ func ExampleAlgorithmOf() {
 	// FPZIP
 }
 
-// ExampleArchiveWriter bundles two fields into one snapshot archive and
-// reads one back by name.
-func ExampleArchiveWriter() {
-	w := repro.NewArchiveWriter()
-	_ = w.Add("density", []float64{0.1, 0.2, 0.4, 0.8}, []int{4}, 1e-3, repro.SZT, nil)
-	_ = w.Add("velocity", []float64{-10, 20, -30, 40}, []int{4}, 1e-3, repro.SZT, nil)
-	archive := w.Bytes()
-
-	r, err := repro.OpenArchive(archive)
+// ExampleNewArchiveStreamWriter bundles two fields into one snapshot
+// archive and reads one back by name.
+func ExampleNewArchiveStreamWriter() {
+	var archive bytes.Buffer
+	w, err := repro.NewArchiveStreamWriter(&archive)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Println("fields:", r.Fields())
+	for name, vals := range map[string][]float64{
+		"density":  {0.1, 0.2, 0.4, 0.8},
+		"velocity": {-10, 20, -30, 40},
+	} {
+		buf, _ := repro.Compress(vals, []int{4}, 1e-3, repro.SZT, nil)
+		_ = w.AddCompressed(name, buf)
+	}
+	if err := w.Close(); err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+
+	r, err := repro.OpenArchive(archive.Bytes())
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Println("fields:", r.SortedFields())
 	dec, _, _ := r.Field("velocity")
 	fmt.Println("velocity sign pattern ok:", dec[0] < 0 && dec[1] > 0)
 	// Output:
@@ -69,25 +84,28 @@ func ExampleArchiveWriter() {
 	// velocity sign pattern ok: true
 }
 
-// ExampleCompressParallel compresses a field with a worker pool; the
-// stream remains self-describing.
-func ExampleCompressParallel() {
+// ExampleCompressStreamOpts compresses an in-memory field with a worker
+// pool; the container remains self-describing.
+func ExampleCompressStreamOpts() {
 	data := make([]float64, 64*64)
+	raw := make([]byte, 0, len(data)*8)
 	for i := range data {
 		data[i] = 1 + float64(i%64)*0.01
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(data[i]))
 	}
-	buf, err := repro.CompressParallel(data, []int{64, 64}, 1e-3, repro.SZT,
-		&repro.ParallelOptions{Workers: 4, Chunks: 4})
+	var buf bytes.Buffer
+	st, err := repro.CompressStreamOpts(bytes.NewReader(raw), &buf, []int{64, 64}, 1e-3, repro.SZT,
+		repro.WithWorkers(4), repro.WithChunkRows(16))
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	dec, dims, err := repro.DecompressAny(buf)
+	dec, dims, err := repro.DecompressAny(buf.Bytes())
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Println("dims:", dims, "points:", len(dec))
+	fmt.Println("chunks:", st.Chunks, "dims:", dims, "points:", len(dec))
 	// Output:
-	// dims: [64 64] points: 4096
+	// chunks: 4 dims: [64 64] points: 4096
 }

@@ -22,7 +22,10 @@ import (
 // shape, since a fault that flips the unchecksummed algorithm byte can
 // legitimately decode through a different codec).
 
-// faultCorpus builds one small instance of every container format.
+// faultCorpus builds one small instance of every container format. The
+// decode-only formats — the 0xC6 parallel container and the v2 archive
+// — come from legacy fixtures written by their removed encoders over
+// the same 8x5 field.
 func faultCorpus(t *testing.T) map[string][]byte {
 	t.Helper()
 	data := make([]float64, 40)
@@ -38,34 +41,23 @@ func faultCorpus(t *testing.T) map[string][]byte {
 	}
 	corpus["plain"] = plain
 
-	par, err := CompressParallel(data, dims, 1e-2, SZT, &ParallelOptions{Chunks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus["parallel"] = par
+	corpus["parallel"] = readLegacy(t, "parallel.bin")
 
 	var sb bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(rawLE(data)), &sb, dims, 1e-2, SZT,
-		&StreamOptions{Workers: 2, ChunkRows: 2}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &sb, dims, 1e-2, SZT,
+		WithWorkers(2), WithChunkRows(2)); err != nil {
 		t.Fatal(err)
 	}
 	corpus["stream"] = sb.Bytes()
 
 	var pb bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(rawLE(data)), &pb, dims, 1e-2, SZT,
-		&StreamOptions{Workers: 2, ChunkRows: 2, ParityK: 2}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &pb, dims, 1e-2, SZT,
+		WithWorkers(2), WithChunkRows(2), WithParity(2)); err != nil {
 		t.Fatal(err)
 	}
 	corpus["stream_parity"] = pb.Bytes()
 
-	aw := NewArchiveWriter()
-	if err := aw.AddCompressed("f0", plain); err != nil {
-		t.Fatal(err)
-	}
-	if err := aw.AddCompressed("f1", par); err != nil {
-		t.Fatal(err)
-	}
-	corpus["archive"] = aw.Bytes()
+	corpus["archive"] = readLegacy(t, "archive_v2.bin")
 
 	var v3 bytes.Buffer
 	av3, err := NewArchiveStreamWriter(&v3, WithChunkRows(2), WithWorkers(2))
@@ -125,8 +117,8 @@ func bufEntries() []decodeEntry {
 			}
 			return err
 		}},
-		{"DecompressParallel", func(t *testing.T, desc string, buf []byte) error {
-			data, dims, err := DecompressParallel(buf, 2)
+		{"decompressParallel", func(t *testing.T, desc string, buf []byte) error {
+			data, dims, err := decompressParallel(context.Background(), buf, nil)
 			if err == nil {
 				shapeConsistent(t, desc, data, dims)
 			}
@@ -354,8 +346,8 @@ func TestFaultFailingWriter(t *testing.T) {
 		data[i] = float64(i%97) + 1
 	}
 	var sb bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(rawLE(data)), &sb, []int{256, 16}, 1e-2, SZT,
-		&StreamOptions{Workers: 2, ChunkRows: 8}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &sb, []int{256, 16}, 1e-2, SZT,
+		WithWorkers(2), WithChunkRows(8)); err != nil {
 		t.Fatal(err)
 	}
 	stream := sb.Bytes()
@@ -560,17 +552,17 @@ func TestDecodeLimits(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	corpus := faultCorpus(t)
 	tiny := &DecodeLimits{MaxElements: 4}
-	if _, err := DecompressStreamCtx(context.Background(), bytes.NewReader(corpus["stream"]), io.Discard, tiny); !errors.Is(err, ErrLimitExceeded) {
+	if _, err := DecompressStreamOpts(bytes.NewReader(corpus["stream"]), io.Discard, WithLimits(tiny)); !errors.Is(err, ErrLimitExceeded) {
 		t.Errorf("stream MaxElements: err = %v", err)
 	}
-	if _, _, err := DecompressParallelCtx(context.Background(), corpus["parallel"], 0, tiny); !errors.Is(err, ErrLimitExceeded) {
+	if _, _, err := DecompressAnyLimits(corpus["parallel"], tiny); !errors.Is(err, ErrLimitExceeded) {
 		t.Errorf("parallel MaxElements: err = %v", err)
 	}
 	if _, _, err := DecompressAnyLimits(corpus["plain"], tiny); !errors.Is(err, ErrLimitExceeded) {
 		t.Errorf("plain MaxElements: err = %v", err)
 	}
 	small := &DecodeLimits{MaxChunkBytes: 3}
-	if _, err := DecompressStreamCtx(context.Background(), bytes.NewReader(corpus["stream"]), io.Discard, small); !errors.Is(err, ErrLimitExceeded) {
+	if _, err := DecompressStreamOpts(bytes.NewReader(corpus["stream"]), io.Discard, WithLimits(small)); !errors.Is(err, ErrLimitExceeded) {
 		t.Errorf("stream MaxChunkBytes: err = %v", err)
 	}
 	if _, err := OpenArchiveLimits(corpus["archive"], small); !errors.Is(err, ErrLimitExceeded) {
@@ -581,7 +573,7 @@ func TestDecodeLimits(t *testing.T) {
 	}
 	// Generous limits must not reject valid containers.
 	big := &DecodeLimits{MaxElements: 1 << 20, MaxChunkBytes: 1 << 20, MaxFields: 64}
-	if _, err := DecompressStreamCtx(context.Background(), bytes.NewReader(corpus["stream"]), io.Discard, big); err != nil {
+	if _, err := DecompressStreamOpts(bytes.NewReader(corpus["stream"]), io.Discard, WithLimits(big)); err != nil {
 		t.Errorf("stream under generous limits: %v", err)
 	}
 	if r, err := OpenArchiveLimits(corpus["archive"], big); err != nil {

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"io"
 	"math"
@@ -56,18 +55,13 @@ func FuzzDecompress(f *testing.F) {
 	})
 }
 
-// FuzzDecompressParallel covers the chunked container.
+// FuzzDecompressParallel covers the legacy chunked container, seeded
+// with bytes its removed encoder wrote.
 func FuzzDecompressParallel(f *testing.F) {
-	data := make([]float64, 64)
-	for i := range data {
-		data[i] = float64(i) + 1
-	}
-	if buf, err := CompressParallel(data, []int{8, 8}, 0.01, SZT, &ParallelOptions{Chunks: 3}); err == nil {
-		f.Add(buf)
-	}
+	f.Add(readLegacy(f, "parallel.bin"))
 	f.Add([]byte{parallelMagic, 1, 8})
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		data, dims, err := DecompressParallel(buf, 2)
+		data, dims, err := DecompressAnyLimits(buf, nil)
 		if err != nil {
 			return
 		}
@@ -81,11 +75,10 @@ func FuzzDecompressParallel(f *testing.F) {
 	})
 }
 
-// FuzzOpenArchive covers the archive index parser.
+// FuzzOpenArchive covers the archive index parser, seeded with a v2
+// archive the removed writer produced.
 func FuzzOpenArchive(f *testing.F) {
-	w := NewArchiveWriter()
-	_ = w.Add("a", []float64{1, 2, 3, 4}, []int{4}, 0.1, SZT, nil)
-	f.Add(w.Bytes())
+	f.Add(readLegacy(f, "archive_v2.bin"))
 	f.Add([]byte{archiveMagic, 0})
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		r, err := OpenArchive(buf)
@@ -143,25 +136,21 @@ func FuzzHeaderMutation(f *testing.F) {
 	if buf, err := CompressAbs(data, []int{12, 8}, 1e-2, SZABS, nil); err == nil {
 		streams = append(streams, stream{buf, container})
 	}
-	if buf, err := CompressParallel(data, []int{12, 8}, 1e-2, SZT, &ParallelOptions{Chunks: 3}); err == nil {
-		streams = append(streams, stream{buf, func(t *testing.T, b []byte) {
-			vals, dims, err := DecompressParallel(b, 2)
+	// The decode-only formats come from their removed encoders' bytes.
+	streams = append(streams, stream{readLegacy(f, "parallel.bin"), func(t *testing.T, b []byte) {
+		vals, dims, err := DecompressAnyLimits(b, nil)
+		checkShape(t, vals, dims, err)
+	}})
+	streams = append(streams, stream{readLegacy(f, "archive_v2.bin"), func(t *testing.T, b []byte) {
+		r, err := OpenArchive(b)
+		if err != nil {
+			return
+		}
+		for _, name := range r.Fields() {
+			vals, dims, err := r.Field(name)
 			checkShape(t, vals, dims, err)
-		}})
-	}
-	w := NewArchiveWriter()
-	if err := w.Add("density", data, []int{96}, 1e-2, SZT, nil); err == nil {
-		streams = append(streams, stream{w.Bytes(), func(t *testing.T, b []byte) {
-			r, err := OpenArchive(b)
-			if err != nil {
-				return
-			}
-			for _, name := range r.Fields() {
-				vals, dims, err := r.Field(name)
-				checkShape(t, vals, dims, err)
-			}
-		}})
-	}
+		}
+	}})
 
 	// Seed the header region of every stream: the magic, rank/dims
 	// varints, entropy-table sizes, and the payload-length varints all
@@ -203,8 +192,8 @@ func fuzzStreamContainerParity(chunkRows, parityK int) []byte {
 		binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
 	}
 	var buf bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(raw), &buf, []int{12, 4}, 1e-2, SZT,
-		&StreamOptions{ChunkRows: chunkRows, ParityK: parityK}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(raw), &buf, []int{12, 4}, 1e-2, SZT,
+		WithChunkRows(chunkRows), WithParity(parityK)); err != nil {
 		return nil
 	}
 	return buf.Bytes()
@@ -303,7 +292,7 @@ func FuzzOpenStream(f *testing.F) {
 		dst := make([]float64, h.Rows()*uint64(h.RowStride()))
 		rerr := h.ReadRows(dst, 0, h.Rows())
 		var full bytes.Buffer
-		_, ferr := DecompressStreamCtx(context.Background(), bytes.NewReader(buf), &full, lim)
+		_, ferr := DecompressStreamOpts(bytes.NewReader(buf), &full, WithLimits(lim))
 		if ferr != nil {
 			return // chunk-level damage; the sequential path rejected it too
 		}
@@ -351,7 +340,7 @@ func FuzzReadRows(f *testing.F) {
 		dst := make([]float64, count*stride)
 		rerr := h.ReadRows(dst, start, count)
 		var full bytes.Buffer
-		if _, ferr := DecompressStreamCtx(context.Background(), bytes.NewReader(buf), &full, lim); ferr != nil {
+		if _, ferr := DecompressStreamOpts(bytes.NewReader(buf), &full, WithLimits(lim)); ferr != nil {
 			return // damaged chunks; the range may or may not touch them
 		}
 		if rerr != nil {
@@ -370,8 +359,8 @@ func FuzzReadRows(f *testing.F) {
 
 // FuzzStreamRoundTrip drives the full streaming pipeline with arbitrary
 // bytes reinterpreted as floats and a fuzzed chunking, asserting the
-// SZ_T bound (and zero/special preservation) through CompressStream →
-// DecompressStream.
+// SZ_T bound (and zero/special preservation) through CompressStreamOpts
+// → DecompressStream.
 func FuzzStreamRoundTrip(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add(append([]byte{1}, make([]byte, 160)...))
@@ -392,8 +381,8 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		}
 		const rel = 1e-2
 		var comp bytes.Buffer
-		_, err := CompressStream(bytes.NewReader(body[:n*8]), &comp, []int{n}, rel, SZT,
-			&StreamOptions{Workers: 2, ChunkRows: chunkRows})
+		_, err := CompressStreamOpts(bytes.NewReader(body[:n*8]), &comp, []int{n}, rel, SZT,
+			WithWorkers(2), WithChunkRows(chunkRows))
 		if err != nil {
 			return // e.g. log-range too extreme for the bound: a valid refusal
 		}

@@ -2,17 +2,20 @@ package repro_test
 
 // Golden-stream regression tests: small compressed fixtures committed
 // under testdata/golden/ — one per algorithm, plus the parallel and
-// stream containers — decoded against a recorded CRC of the
-// reconstruction. Accidental format drift (a container or entropy-coder
-// change that can no longer read old archives, or that silently decodes
-// them differently) fails here in tier-1 instead of surfacing when a
-// real archive is reopened.
+// stream containers and the archive layouts — decoded against a
+// recorded CRC of the reconstruction. Accidental format drift (a
+// container or entropy-coder change that can no longer read old
+// archives, or that silently decodes them differently) fails here in
+// tier-1 instead of surfacing when a real archive is reopened.
 //
 // Regenerate after an INTENTIONAL format change with:
 //
-//	go test -run TestGoldenDecode -update-golden .
+//	go test -run 'TestGoldenDecode|TestGoldenArchiveV3' -update-golden .
 //
 // and commit the new fixtures together with the change that required
+// them. The decode-only fixtures — parallel.bin (0xC6) and
+// archive_v2.bin — were written by encoders this package no longer
+// has; regeneration keeps their bytes and re-records their CRCs from
 // them.
 
 import (
@@ -44,7 +47,8 @@ func goldenField() datagen.Field {
 	return datagen.NYX(8, 424242)[0]
 }
 
-// goldenCase describes one fixture.
+// goldenCase describes one fixture. A nil make marks a decode-only
+// fixture whose committed bytes are never regenerated.
 type goldenCase struct {
 	name string
 	make func(f datagen.Field) ([]byte, error)
@@ -68,17 +72,15 @@ func goldenCases() []goldenCase {
 		goldenCase{"zfp_acc", func(f datagen.Field) ([]byte, error) {
 			return repro.CompressAbs(f.Data, f.Dims, 0.01, repro.ZFPACC, nil)
 		}},
-		goldenCase{"parallel", func(f datagen.Field) ([]byte, error) {
-			return repro.CompressParallel(f.Data, f.Dims, 1e-2, repro.SZT, &repro.ParallelOptions{Chunks: 3})
-		}},
+		goldenCase{"parallel", nil}, // SZ_T at 1e-2 in 3 chunks, by the removed 0xC6 encoder
 		goldenCase{"stream", func(f datagen.Field) ([]byte, error) {
 			var buf bytes.Buffer
 			raw := make([]byte, len(f.Data)*8)
 			for i, v := range f.Data {
 				binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
 			}
-			_, err := repro.CompressStream(bytes.NewReader(raw), &buf, f.Dims, 1e-2, repro.SZT,
-				&repro.StreamOptions{ChunkRows: 3})
+			_, err := repro.CompressStreamOpts(bytes.NewReader(raw), &buf, f.Dims, 1e-2, repro.SZT,
+				repro.WithChunkRows(3))
 			return buf.Bytes(), err
 		}},
 		goldenCase{"stream_parity", func(f datagen.Field) ([]byte, error) {
@@ -87,8 +89,8 @@ func goldenCases() []goldenCase {
 			for i, v := range f.Data {
 				binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
 			}
-			_, err := repro.CompressStream(bytes.NewReader(raw), &buf, f.Dims, 1e-2, repro.SZT,
-				&repro.StreamOptions{ChunkRows: 3, ParityK: 2})
+			_, err := repro.CompressStreamOpts(bytes.NewReader(raw), &buf, f.Dims, 1e-2, repro.SZT,
+				repro.WithChunkRows(3), repro.WithParity(2))
 			return buf.Bytes(), err
 		}},
 	)
@@ -147,12 +149,19 @@ func TestGoldenDecode(t *testing.T) {
 		manifest.WriteString("# <fixture name> <crc32 of decoded little-endian float64 bytes>\n")
 		manifest.WriteString("# regenerate: go test -run TestGoldenDecode -update-golden .\n")
 		for _, c := range goldenCases() {
-			buf, err := c.make(f)
+			path := filepath.Join(goldenDir, c.name+".bin")
+			var buf []byte
+			var err error
+			if c.make == nil {
+				buf, err = os.ReadFile(path)
+			} else {
+				buf, err = c.make(f)
+				if err == nil {
+					err = os.WriteFile(path, buf, 0o644)
+				}
+			}
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
-			}
-			if err := os.WriteFile(filepath.Join(goldenDir, c.name+".bin"), buf, 0o644); err != nil {
-				t.Fatal(err)
 			}
 			dec, _, err := repro.DecompressAny(buf)
 			if err != nil {
@@ -382,5 +391,45 @@ func TestGoldenArchiveV3(t *testing.T) {
 			t.Fatalf("field %q seekable CRC %08x, manifest says %08x", name, crc, want)
 		}
 		goldenRangeSweep(t, h, dec, uint64(h.RowStride()))
+	}
+}
+
+// TestGoldenArchiveV2 pins the decode-only v2 archive layout to bytes
+// the removed v2 writer produced. Each field of archive_v2.bin is a
+// committed golden fixture stored under its fixture name, so every
+// field must decode to that fixture's manifest CRC.
+func TestGoldenArchiveV2(t *testing.T) {
+	buf, err := os.ReadFile(filepath.Join(goldenDir, "archive_v2.bin"))
+	if err != nil {
+		t.Fatalf("fixture missing: %v", err)
+	}
+	if buf[0] != 0xC9 {
+		t.Fatalf("leading byte 0x%02x, want the v2 magic 0xC9", buf[0])
+	}
+	ar, err := repro.OpenArchive(buf)
+	if err != nil {
+		t.Fatalf("format drift: committed v2 archive no longer opens: %v", err)
+	}
+	manifest := readManifest(t)
+	want := []string{"sz_t", "sz_abs", "parallel", "stream", "stream_parity"}
+	if got := ar.Fields(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("fields %v, want %v", got, want)
+	}
+	for _, name := range want {
+		fixture, err := os.ReadFile(filepath.Join(goldenDir, name+".bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := ar.Raw(name)
+		if err != nil || !bytes.Equal(raw, fixture) {
+			t.Fatalf("field %q is not the committed %s.bin (err %v)", name, name, err)
+		}
+		dec, _, err := ar.Field(name)
+		if err != nil {
+			t.Fatalf("field %q no longer decodes: %v", name, err)
+		}
+		if got := decodedCRC(dec); got != manifest[name] {
+			t.Fatalf("field %q CRC %08x, manifest says %08x", name, got, manifest[name])
+		}
 	}
 }

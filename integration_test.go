@@ -80,17 +80,19 @@ func TestDeterministicStreams(t *testing.T) {
 			t.Errorf("%v: nondeterministic stream", algo)
 		}
 	}
-	// Parallel streams must be deterministic too (fixed chunking).
-	a, err := CompressParallel(f.Data, f.Dims, 1e-2, SZT, &ParallelOptions{Workers: 3, Chunks: 4})
-	if err != nil {
+	// Multi-worker stream containers must be deterministic too (fixed
+	// chunking).
+	var a, b bytes.Buffer
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(f.Data)), &a, f.Dims, 1e-2, SZT,
+		WithWorkers(3), WithChunkRows(4)); err != nil {
 		t.Fatal(err)
 	}
-	b, err := CompressParallel(f.Data, f.Dims, 1e-2, SZT, &ParallelOptions{Workers: 1, Chunks: 4})
-	if err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(f.Data)), &b, f.Dims, 1e-2, SZT,
+		WithWorkers(1), WithChunkRows(4)); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a, b) {
-		t.Error("parallel stream depends on worker count")
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("stream container depends on worker count")
 	}
 }
 
@@ -141,20 +143,26 @@ func TestTighterBoundCostsMoreBits(t *testing.T) {
 // validate each field, and confirm stats survive compression.
 func TestArchiveSnapshotWorkflow(t *testing.T) {
 	fields := datagen.NYX(24, 44)
-	w := NewArchiveWriter()
+	var archive bytes.Buffer
+	w, err := NewArchiveStreamWriter(&archive)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range fields {
 		f := &fields[i]
 		algo := SZT
 		if f.Name == "temperature" {
 			algo = FPZIP
 		}
-		if err := w.Add(f.Name, f.Data, f.Dims, 1e-3, algo, nil); err != nil {
+		if _, err := w.AddField(f.Name, bytes.NewReader(rawLE(f.Data)), f.Dims, 1e-3, algo); err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
 	}
-	archive := w.Bytes()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	r, err := OpenArchive(archive)
+	r, err := OpenArchive(archive.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

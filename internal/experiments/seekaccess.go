@@ -65,8 +65,8 @@ func SeekAccess(cfg Config) (*SeekAccessResult, error) {
 		binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
 	}
 	var comp bytes.Buffer
-	if _, err := repro.CompressStream(bytes.NewReader(raw), &comp, []int{rows, stride},
-		1e-2, repro.SZT, &repro.StreamOptions{ChunkRows: 1}); err != nil {
+	if _, err := repro.CompressStreamOpts(bytes.NewReader(raw), &comp, []int{rows, stride},
+		1e-2, repro.SZT, repro.WithChunkRows(1)); err != nil {
 		return nil, err
 	}
 	stream := comp.Bytes()

@@ -77,7 +77,7 @@ func wordBoundary(suffix string) bool {
 	return (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 }
 
-// firstWord reduces DecodeAll/DecompressParallel to the bare fallback
+// firstWord reduces DecodeAll/DecompressStreamOpts to the bare fallback
 // name (Decode/Decompress).
 func firstWord(mirror string) string {
 	if strings.HasPrefix(mirror, "Decompress") {

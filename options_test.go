@@ -2,7 +2,6 @@ package repro
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"testing"
 
@@ -10,10 +9,11 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestStreamAPIEquivalence proves the deprecated positional entry
-// points are pure wrappers: for every legacy variant, the container (or
-// decoded output) is byte-identical to the functional-options core
-// called with the translated options.
+// TestStreamAPIEquivalence proves the convenience entry points are pure
+// wrappers over the functional-options core: the float32 input path
+// seals byte-identical containers, DecompressStream is
+// DecompressStreamOpts with no options, and float32 output is the
+// float64 output narrowed.
 func TestStreamAPIEquivalence(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	f := datagen.NYX(12, 21)[0]
@@ -22,8 +22,6 @@ func TestStreamAPIEquivalence(t *testing.T) {
 	for _, v := range f.Data {
 		raw32 = rawLE32Append(raw32, float32(v))
 	}
-	ctx := context.Background()
-	legacy := &StreamOptions{Workers: 2, ChunkRows: 3, ParityK: 2, VerifyOnWrite: true}
 	shared := []StreamOption{WithWorkers(2), WithChunkRows(3), WithParity(2), WithVerifyOnWrite()}
 
 	newStream := func(f32 bool, extra ...StreamOption) []byte {
@@ -45,43 +43,6 @@ func TestStreamAPIEquivalence(t *testing.T) {
 		t.Fatal("float32 path is not width-independent")
 	}
 
-	compressCases := []struct {
-		name string
-		run  func() ([]byte, error)
-	}{
-		{"CompressStream", func() ([]byte, error) {
-			var w bytes.Buffer
-			_, err := CompressStream(bytes.NewReader(raw), &w, f.Dims, 1e-3, SZT, legacy)
-			return w.Bytes(), err
-		}},
-		{"CompressStreamCtx", func() ([]byte, error) {
-			var w bytes.Buffer
-			_, err := CompressStreamCtx(ctx, bytes.NewReader(raw), &w, f.Dims, 1e-3, SZT, legacy)
-			return w.Bytes(), err
-		}},
-		{"CompressStream32", func() ([]byte, error) {
-			var w bytes.Buffer
-			_, err := CompressStream32(bytes.NewReader(raw32), &w, f.Dims, 1e-3, SZT, legacy)
-			return w.Bytes(), err
-		}},
-		{"CompressStream32Ctx", func() ([]byte, error) {
-			var w bytes.Buffer
-			_, err := CompressStream32Ctx(ctx, bytes.NewReader(raw32), &w, f.Dims, 1e-3, SZT, legacy)
-			return w.Bytes(), err
-		}},
-	}
-	for _, tc := range compressCases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := tc.run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s output differs from CompressStreamOpts (%d vs %d bytes)", tc.name, len(got), len(want))
-			}
-		})
-	}
-
 	// Decompress wrappers against the options core.
 	var wantOut bytes.Buffer
 	lim := &DecodeLimits{MaxElements: 1 << 20, MaxChunkBytes: 1 << 20}
@@ -97,11 +58,6 @@ func TestStreamAPIEquivalence(t *testing.T) {
 			_, err := DecompressStream(bytes.NewReader(want), &w)
 			return w.Bytes(), err
 		}},
-		{"DecompressStreamCtx", func() ([]byte, error) {
-			var w bytes.Buffer
-			_, err := DecompressStreamCtx(ctx, bytes.NewReader(want), &w, lim)
-			return w.Bytes(), err
-		}},
 	}
 	for _, tc := range decompressCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,47 +71,15 @@ func TestStreamAPIEquivalence(t *testing.T) {
 		})
 	}
 	var out32 bytes.Buffer
-	if _, err := DecompressStream32(bytes.NewReader(want), &out32); err != nil {
+	if _, err := DecompressStreamOpts(bytes.NewReader(want), &out32, WithFloat32(), WithLimits(lim)); err != nil {
 		t.Fatal(err)
 	}
-	var out32ctx bytes.Buffer
-	if _, err := DecompressStream32Ctx(ctx, bytes.NewReader(want), &out32ctx, lim); err != nil {
-		t.Fatal(err)
+	var narrowed []byte
+	for _, v := range fromLE(wantOut.Bytes()) {
+		narrowed = rawLE32Append(narrowed, float32(v))
 	}
-	if !bytes.Equal(out32.Bytes(), out32ctx.Bytes()) || len(out32.Bytes()) != len(f.Data)*4 {
-		t.Error("32-bit decompress wrappers disagree")
-	}
-
-	// Parallel wrappers.
-	popts := &ParallelOptions{Workers: 2, Chunks: 3, Verify: true, Ctx: ctx}
-	oldPar, err := CompressParallel(f.Data, f.Dims, 1e-3, SZT, popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newPar, err := CompressParallelOpts(f.Data, f.Dims, 1e-3, SZT,
-		WithWorkers(2), WithChunks(3), WithVerifyOnWrite(), WithContext(ctx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(oldPar, newPar) {
-		t.Error("CompressParallel output differs from CompressParallelOpts")
-	}
-	oldDec, _, err := DecompressParallel(oldPar, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxDec, _, err := DecompressParallelCtx(ctx, oldPar, 2, lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newDec, _, err := DecompressParallelOpts(oldPar, WithWorkers(2), WithLimits(lim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range oldDec {
-		if oldDec[i] != newDec[i] || ctxDec[i] != newDec[i] {
-			t.Fatalf("parallel decode mismatch at %d", i)
-		}
+	if !bytes.Equal(out32.Bytes(), narrowed) {
+		t.Error("float32 decompress output is not the narrowed float64 output")
 	}
 }
 
@@ -321,7 +245,7 @@ func TestParityErrorPreserved(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	f := datagen.NYX(8, 4)[0]
 	var w bytes.Buffer
-	_, err := CompressStream(bytes.NewReader(rawLE(f.Data)), &w, f.Dims, 1e-3, SZT, &StreamOptions{ParityK: -1})
+	_, err := CompressStreamOpts(bytes.NewReader(rawLE(f.Data)), &w, f.Dims, 1e-3, SZT, WithParity(-1))
 	if err == nil {
 		t.Fatal("negative ParityK accepted through the legacy wrapper")
 	}

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -12,14 +11,21 @@ import (
 	"repro/internal/grid"
 )
 
-// Parallel compression: the field is split into chunks along the slowest
-// dimension and each chunk is compressed independently by a worker pool —
-// the shared-memory analogue of the paper's file-per-process parallel
-// evaluation. Prediction-based compressors lose a little ratio at chunk
-// boundaries (each chunk restarts its predictor), which is the same
-// trade-off MPI-rank-local compression makes on real systems.
+// The parallel container (magic 0xC6) is a decode-only legacy format.
+// Earlier versions of this package wrote it from an in-memory worker
+// pool: the field was split into chunks along the slowest dimension,
+// each chunk compressed independently into an ordinary Compress stream,
+// and the chunks concatenated behind a length table:
 //
-// The worker pools pull chunk indices from an atomic counter rather than
+//	container := magic(0xC6) algo uvarint(rank) uvarint(dim)*
+//	             uvarint(chunks) uvarint(chunk len)* chunk*
+//
+// The stream container (0xC8, CompressStreamOpts) replaced it with the
+// same chunking plus CRCs, an index, parity and seekable reads. Existing
+// 0xC6 bytes stay readable through DecompressAny/DecompressAnyLimits and
+// as archive fields.
+//
+// The decode pool pulls chunk indices from an atomic counter rather than
 // queueing goroutines behind a semaphore: exactly min(workers, chunks)
 // goroutines run, each checks the pool's context between chunks, and
 // cancellation stops the pool after at most the chunks already being
@@ -27,121 +33,10 @@ import (
 
 const parallelMagic = 0xC6
 
-// ErrBadChunking reports invalid parallel-compression parameters.
-var ErrBadChunking = errors.New("repro: invalid chunking")
-
-// ParallelOptions tunes the deprecated positional CompressParallel
-// entry point.
-//
-// Deprecated: use the StreamOption functional options (WithWorkers,
-// WithChunks, WithVerifyOnWrite, WithCompressorOptions, WithContext)
-// with CompressParallelOpts. The struct is retained so existing callers
-// keep compiling; it is translated into the same options internally, so
-// output is bit-identical.
-type ParallelOptions struct {
-	// Workers is the worker-pool size (default GOMAXPROCS).
-	Workers int
-	// Chunks is the number of slices along the slowest dimension
-	// (default: Workers, clamped to the dimension's extent).
-	Chunks int
-	// Verify decode-verifies each compressed chunk against its source
-	// slice before the container is assembled, exactly like
-	// StreamOptions.VerifyOnWrite; a mismatch fails with a typed
-	// ErrVerifyFailed.
-	Verify bool
-	// Options passes through per-chunk compressor options.
-	Options *Options
-	// Ctx, when non-nil, cancels the worker pool: compression stops
-	// after the chunks already in flight and returns the context's
-	// error.
-	Ctx context.Context
-}
-
-// CompressParallelOpts compresses data under a point-wise relative
-// bound using multiple cores. The stream interleaves independently
-// decodable chunks and is decoded by DecompressParallelOpts (also in
-// parallel). It consumes the shared StreamOption set: WithWorkers and
-// WithChunks size the pool and the container layout, WithVerifyOnWrite
-// decode-verifies each chunk before the container is assembled,
-// WithCompressorOptions passes through per-chunk compressor options,
-// and WithContext cancels the pool after at most the chunks already in
-// flight.
-func CompressParallelOpts(data []float64, dims []int, relBound float64, algo Algorithm, opts ...StreamOption) ([]byte, error) {
-	return compressParallel(resolveStreamConfig(opts), data, dims, relBound, algo)
-}
-
-// CompressParallel compresses data into a parallel container.
-//
-// Deprecated: use CompressParallelOpts; this wrapper translates popts
-// into the equivalent StreamOption values and delegates, so its output
-// is bit-identical.
-func CompressParallel(data []float64, dims []int, relBound float64, algo Algorithm, popts *ParallelOptions) ([]byte, error) {
-	return CompressParallelOpts(data, dims, relBound, algo, popts.streamOptions()...)
-}
-
-// compressParallel is the pool behind the parallel compress entry
-// points, driven by a resolved StreamConfig.
-func compressParallel(cfg *StreamConfig, data []float64, dims []int, relBound float64, algo Algorithm) ([]byte, error) {
-	if err := grid.Validate(dims, len(data)); err != nil {
-		return nil, err
-	}
-	ctx := orDefault(cfg.Ctx)
-	workers := cfg.defaultWorkers()
-	chunks := cfg.Chunks
-	verify := cfg.VerifyOnWrite
-	opts := cfg.Compressor
-	if chunks <= 0 {
-		chunks = workers
-	}
-	if chunks > dims[0] {
-		chunks = dims[0]
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-
-	// Slice along dims[0]: chunk c covers rows [starts[c], starts[c+1]).
-	starts := chunkStarts(dims[0], chunks)
-	rowStride := len(data) / dims[0]
-
-	type result struct {
-		buf []byte
-		err error
-	}
-	results := make([]result, chunks)
-	runPool(ctx, workers, chunks, func(c int) {
-		lo, hi := starts[c], starts[c+1]
-		sub := data[lo*rowStride : hi*rowStride]
-		subDims := append([]int{hi - lo}, dims[1:]...)
-		buf, err := Compress(sub, subDims, relBound, algo, opts)
-		if err == nil && verify {
-			err = verifyChunk(buf, sub, subDims, relBound, algo)
-		}
-		results[c] = result{buf, err}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, ctxCause(ctx)
-	}
-	for c := range results {
-		if results[c].err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", c, results[c].err)
-		}
-	}
-
-	// Container: magic | algo | rank | dims... | #chunks | chunk lengths | chunks.
-	out := []byte{parallelMagic, byte(algo)}
-	out = bitio.AppendUvarint(out, uint64(len(dims)))
-	for _, d := range dims {
-		out = bitio.AppendUvarint(out, uint64(d))
-	}
-	out = bitio.AppendUvarint(out, uint64(chunks))
-	for c := range results {
-		out = bitio.AppendUvarint(out, uint64(len(results[c].buf)))
-	}
-	for c := range results {
-		out = append(out, results[c].buf...)
-	}
-	return out, nil
+// isParallelContainer reports whether buf starts a legacy 0xC6
+// parallel container.
+func isParallelContainer(buf []byte) bool {
+	return len(buf) >= 2 && buf[0] == parallelMagic
 }
 
 // runPool runs fn(0..n-1) on min(workers, n) goroutines pulling indices
@@ -173,39 +68,13 @@ func runPool(ctx context.Context, workers, n int, fn func(int)) {
 	wg.Wait()
 }
 
-// DecompressParallelOpts decodes a CompressParallel container using the
-// shared StreamOption set: WithWorkers sizes the pool (default
-// GOMAXPROCS), WithLimits is enforced before any input-derived
-// allocation or chunk decode, and WithContext cancels the pool after at
-// most the chunks already in flight.
-func DecompressParallelOpts(buf []byte, opts ...StreamOption) ([]float64, []int, error) {
-	return decompressParallel(resolveStreamConfig(opts), buf)
-}
-
-// DecompressParallel decodes a CompressParallel stream using up to
-// `workers` goroutines (0 = GOMAXPROCS).
-//
-// Deprecated: use DecompressParallelOpts with WithWorkers.
-func DecompressParallel(buf []byte, workers int) ([]float64, []int, error) {
-	return DecompressParallelOpts(buf, WithWorkers(workers))
-}
-
-// DecompressParallelCtx is DecompressParallel under a context and decode
-// limits (nil = unlimited).
-//
-// Deprecated: use DecompressParallelOpts with WithContext, WithWorkers,
-// and WithLimits.
-func DecompressParallelCtx(ctx context.Context, buf []byte, workers int, limits *DecodeLimits) ([]float64, []int, error) {
-	return DecompressParallelOpts(buf, WithContext(ctx), WithWorkers(workers), WithLimits(limits))
-}
-
-// decompressParallel is the decode pool behind the parallel decode
-// entry points, driven by a resolved StreamConfig.
-func decompressParallel(cfg *StreamConfig, buf []byte) (_ []float64, _ []int, err error) {
+// decompressParallel decodes a legacy 0xC6 container on GOMAXPROCS
+// workers. limits (nil = unlimited) is enforced against the declared
+// geometry and every chunk length before any input-derived allocation
+// or chunk decode; ctx cancels the pool after at most the chunks already
+// in flight.
+func decompressParallel(ctx context.Context, buf []byte, limits *DecodeLimits) (_ []float64, _ []int, err error) {
 	defer recoverDecode(&err)
-	ctx := orDefault(cfg.Ctx)
-	limits := cfg.Limits
-	workers := cfg.Workers
 	if len(buf) < 2 {
 		return nil, nil, fmt.Errorf("%w: %d-byte parallel container", ErrTruncated, len(buf))
 	}
@@ -263,9 +132,6 @@ func decompressParallel(cfg *StreamConfig, buf []byte) (_ []float64, _ []int, er
 		return nil, nil, fmt.Errorf("%w: chunk lengths overrun the container", ErrTruncated)
 	}
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	n := grid.Size(dims)
 	out := make([]float64, n)
 	rowStride := n / dims[0]
@@ -278,7 +144,7 @@ func decompressParallel(cfg *StreamConfig, buf []byte) (_ []float64, _ []int, er
 	}
 
 	errs := make([]error, chunks)
-	runPool(ctx, workers, chunks, func(c int) {
+	runPool(ctx, runtime.GOMAXPROCS(0), chunks, func(c int) {
 		dec, subDims, err := Decompress(chunkBufs[c])
 		if err != nil {
 			errs[c] = err
@@ -305,7 +171,7 @@ func decompressParallel(cfg *StreamConfig, buf []byte) (_ []float64, _ []int, er
 }
 
 // chunkStarts splits `rows` into `chunks` nearly equal ranges, returning
-// chunks+1 boundaries.
+// chunks+1 boundaries — the row split the legacy parallel encoder used.
 func chunkStarts(rows, chunks int) []int {
 	starts := make([]int, chunks+1)
 	for c := 0; c <= chunks; c++ {
@@ -314,12 +180,8 @@ func chunkStarts(rows, chunks int) []int {
 	return starts
 }
 
-// IsParallelStream reports whether buf was produced by CompressParallel.
-func IsParallelStream(buf []byte) bool {
-	return len(buf) >= 2 && buf[0] == parallelMagic
-}
-
-// DecompressAny decodes a plain, parallel, or stream-container buffer.
+// DecompressAny decodes a plain (0xC5), stream (0xC8) or legacy
+// parallel (0xC6) container.
 func DecompressAny(buf []byte) ([]float64, []int, error) {
 	return DecompressAnyLimits(buf, nil)
 }
@@ -328,8 +190,8 @@ func DecompressAny(buf []byte) ([]float64, []int, error) {
 // unlimited) enforced on whichever container format the buffer carries.
 func DecompressAnyLimits(buf []byte, limits *DecodeLimits) (_ []float64, _ []int, err error) {
 	defer recoverDecode(&err)
-	if IsParallelStream(buf) {
-		return DecompressParallelCtx(context.Background(), buf, 0, limits)
+	if isParallelContainer(buf) {
+		return decompressParallel(context.Background(), buf, limits)
 	}
 	if IsStreamContainer(buf) {
 		return decompressStreamBuf(buf, limits)

@@ -25,8 +25,8 @@ func parityFixture(t *testing.T) (stream, clean []byte, frames, parity []streamf
 		data[i] = 35*math.Sin(float64(i)/4) + 80
 	}
 	var sb bytes.Buffer
-	st, err := CompressStream(bytes.NewReader(rawLE(data)), &sb, dims, 1e-2, SZT,
-		&StreamOptions{Workers: 2, ChunkRows: 2, ParityK: 2})
+	st, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &sb, dims, 1e-2, SZT,
+		WithWorkers(2), WithChunkRows(2), WithParity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,8 @@ func TestStreamParityOptionValidated(t *testing.T) {
 	data := rawLE(make([]float64, 8))
 	for _, k := range []int{-1, streamfmt.MaxParityK + 1} {
 		var sb bytes.Buffer
-		_, err := CompressStream(bytes.NewReader(data), &sb, []int{8}, 1e-2, SZT,
-			&StreamOptions{ParityK: k})
+		_, err := CompressStreamOpts(bytes.NewReader(data), &sb, []int{8}, 1e-2, SZT,
+			WithParity(k))
 		if err == nil {
 			t.Fatalf("ParityK=%d accepted", k)
 		}
@@ -320,8 +320,8 @@ func TestVerifyOnWrite(t *testing.T) {
 	}
 	for _, algo := range RelativeAlgorithms() {
 		var sb bytes.Buffer
-		st, err := CompressStream(bytes.NewReader(rawLE(data)), &sb, dims, 1e-2, algo,
-			&StreamOptions{Workers: 2, ChunkRows: 2, VerifyOnWrite: true})
+		st, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &sb, dims, 1e-2, algo,
+			WithWorkers(2), WithChunkRows(2), WithVerifyOnWrite())
 		if err != nil {
 			t.Fatalf("%v: VerifyOnWrite compress: %v", algo, err)
 		}
@@ -364,20 +364,37 @@ func TestVerifyOnWrite(t *testing.T) {
 	}
 }
 
-// TestParallelVerify wires ParallelOptions.Verify through the in-memory
-// parallel path.
+// TestParallelVerify wires WithVerifyOnWrite through the multi-worker
+// pipeline of an in-memory archive field — the path that replaced the
+// parallel encoder's Verify flag: every chunk is decode-verified before
+// the field seals, and the verified field decodes.
 func TestParallelVerify(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	data := make([]float64, 96)
 	for i := range data {
 		data[i] = 20*math.Cos(float64(i)/7) + 50
 	}
-	buf, err := CompressParallel(data, []int{12, 8}, 1e-2, SZT, &ParallelOptions{Chunks: 3, Verify: true})
+	var arc bytes.Buffer
+	aw, err := NewArchiveStreamWriter(&arc, WithWorkers(3), WithVerifyOnWrite())
 	if err != nil {
-		t.Fatalf("CompressParallel with Verify: %v", err)
+		t.Fatal(err)
 	}
-	dec, _, err := DecompressParallel(buf, 2)
+	st, err := aw.AddField("f", bytes.NewReader(rawLE(data)), []int{12, 8}, 1e-2, SZT, WithChunkRows(4))
+	if err != nil {
+		t.Fatalf("AddField with VerifyOnWrite: %v", err)
+	}
+	if st.Chunks != 3 || st.VerifiedChunks != st.Chunks {
+		t.Fatalf("verified %d of %d chunks, want 3 of 3", st.VerifiedChunks, st.Chunks)
+	}
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenArchive(arc.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, _, err := r.Field("f")
 	if err != nil || len(dec) != len(data) {
-		t.Fatalf("verified parallel stream decode: %d elements, %v", len(dec), err)
+		t.Fatalf("verified field decode: %d elements, %v", len(dec), err)
 	}
 }

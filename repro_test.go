@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -277,4 +279,70 @@ func TestFloat32NativeFPZIP(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = szt // both valid; no strict ordering asserted between algorithms
+}
+
+// TestWritersEmitCurrentFormats runs every exported encode entry point
+// and asserts its output leads with one of the three formats this
+// package writes: 0xC5 plain, 0xC8 stream, 0xCA v3 archive. The 0xC6
+// parallel container and the 0xC7/0xC9 archives are decode-only.
+func TestWritersEmitCurrentFormats(t *testing.T) {
+	const (
+		plain   = 0xC5
+		stream  = 0xC8
+		archive = 0xCA
+	)
+	data := make([]float64, 64)
+	data32 := make([]float32, 64)
+	for i := range data {
+		data[i] = 10*math.Sin(float64(i)/5) + 20
+		data32[i] = float32(data[i])
+	}
+	dims := []int{8, 8}
+	raw := make([]byte, 0, len(data)*8)
+	raw32 := make([]byte, 0, len(data)*4)
+	for i := range data {
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(data[i]))
+		raw32 = binary.LittleEndian.AppendUint32(raw32, math.Float32bits(data32[i]))
+	}
+	streamOf := func(src []byte, opts ...StreamOption) ([]byte, error) {
+		var w bytes.Buffer
+		_, err := CompressStreamOpts(bytes.NewReader(src), &w, dims, 1e-2, SZT,
+			append([]StreamOption{WithChunkRows(2)}, opts...)...)
+		return w.Bytes(), err
+	}
+	cases := []struct {
+		name  string
+		magic byte
+		run   func() ([]byte, error)
+	}{
+		{"Compress", plain, func() ([]byte, error) { return Compress(data, dims, 1e-2, SZT, nil) }},
+		{"CompressAbs", plain, func() ([]byte, error) { return CompressAbs(data, dims, 1e-2, SZABS, nil) }},
+		{"Compress32", plain, func() ([]byte, error) { return Compress32(data32, dims, 1e-2, SZT, nil) }},
+		{"CompressValueRange", plain, func() ([]byte, error) { return CompressValueRange(data, dims, 1e-3, ZFPACC, nil) }},
+		{"CompressFixedRate", plain, func() ([]byte, error) { return CompressFixedRate(data, dims, 8) }},
+		{"CompressStreamOpts", stream, func() ([]byte, error) { return streamOf(raw) }},
+		{"CompressStreamOpts/WithFloat32", stream, func() ([]byte, error) { return streamOf(raw32, WithFloat32()) }},
+		{"CompressStreamOpts/WithParity", stream, func() ([]byte, error) { return streamOf(raw, WithParity(2)) }},
+		{"NewArchiveStreamWriter", archive, func() ([]byte, error) {
+			var w bytes.Buffer
+			aw, err := NewArchiveStreamWriter(&w, WithChunkRows(2))
+			if err != nil {
+				return nil, err
+			}
+			if _, err := aw.AddField("f", bytes.NewReader(raw), dims, 1e-2, SZT); err != nil {
+				return nil, err
+			}
+			err = aw.Close()
+			return w.Bytes(), err
+		}},
+	}
+	for _, tc := range cases {
+		buf, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(buf) == 0 || buf[0] != tc.magic {
+			t.Errorf("%s: leading byte %#x, want %#x", tc.name, buf[:min(len(buf), 1)], tc.magic)
+		}
+	}
 }

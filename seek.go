@@ -116,8 +116,9 @@ func (h *StreamHandle) ReadRowsCtx(ctx context.Context, dst []float64, start, co
 
 // ReadRows32 is ReadRows with float32 output: chunks decode on the
 // float64 worker path and each element is narrowed at the copy into
-// dst, mirroring DecompressStream32's width contract (narrowing adds at
-// most a 2⁻²⁴ relative rounding step on top of the stream's bound).
+// dst, mirroring the width contract of DecompressStreamOpts with
+// WithFloat32 (narrowing adds at most a 2⁻²⁴ relative rounding step on
+// top of the stream's bound).
 func (h *StreamHandle) ReadRows32(dst []float32, start, count uint64) error {
 	return h.ReadRows32Ctx(h.cfg.Ctx, dst, start, count)
 }

@@ -33,8 +33,8 @@ func fromLE(raw []byte) []float64 {
 	return out
 }
 
-// TestStreamRoundTrip pushes 1D/2D/3D fields through CompressStream and
-// DecompressStream for every relative-bound algorithm and checks the
+// TestStreamRoundTrip pushes 1D/2D/3D fields through CompressStreamOpts
+// and DecompressStream for every relative-bound algorithm and checks the
 // advertised error guarantees survive the chunked pipeline.
 func TestStreamRoundTrip(t *testing.T) {
 	defer testutil.NoLeak(t)()
@@ -59,8 +59,8 @@ func TestStreamRoundTrip(t *testing.T) {
 		raw := rawLE(data)
 		for _, algo := range RelativeAlgorithms() {
 			var comp bytes.Buffer
-			st, err := CompressStream(bytes.NewReader(raw), &comp, fc.dims, rel, algo,
-				&StreamOptions{Workers: 3, ChunkRows: (fc.dims[0] + 3) / 4})
+			st, err := CompressStreamOpts(bytes.NewReader(raw), &comp, fc.dims, rel, algo,
+				WithWorkers(3), WithChunkRows((fc.dims[0]+3)/4))
 			if err != nil {
 				t.Fatalf("%s %v: compress: %v", fc.name, algo, err)
 			}
@@ -102,24 +102,20 @@ func TestStreamRoundTrip(t *testing.T) {
 
 // TestStreamMatchesParallel asserts the acceptance criterion: for the
 // same chunk boundaries, DecompressStream output is element-wise
-// identical to Decompress of CompressParallel output.
+// identical to the decode of a legacy parallel container.
 func TestStreamMatchesParallel(t *testing.T) {
 	defer testutil.NoLeak(t)()
-	f := datagen.NYX(16, 11)[0] // 16^3
 	const rel = 1e-2
-	// 16 rows into 4 chunks of 4: chunkStarts(16,4) gives 4-row chunks,
-	// matching ChunkRows=4 exactly.
-	pbuf, err := CompressParallel(f.Data, f.Dims, rel, SZT, &ParallelOptions{Chunks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pdec, pdims, err := DecompressParallel(pbuf, 0)
+	// The legacy container splits 8 rows into 4 chunks: chunkStarts(8,4)
+	// gives 2-row chunks, matching ChunkRows=2 exactly.
+	pbuf, f := legacyParallel(t, SZT)
+	pdec, pdims, err := DecompressAny(pbuf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var comp bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(rawLE(f.Data)), &comp, f.Dims, rel, SZT,
-		&StreamOptions{ChunkRows: 4}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(f.Data)), &comp, f.Dims, rel, SZT,
+		WithChunkRows(2)); err != nil {
 		t.Fatal(err)
 	}
 	var dec bytes.Buffer
@@ -158,10 +154,10 @@ func TestStreamDeterministic(t *testing.T) {
 	f := datagen.NYX(16, 3)[0]
 	raw := rawLE(f.Data)
 	var a, b bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(raw), &a, f.Dims, 1e-2, SZT, &StreamOptions{Workers: 4, ChunkRows: 3}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(raw), &a, f.Dims, 1e-2, SZT, WithWorkers(4), WithChunkRows(3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompressStream(bytes.NewReader(raw), &b, f.Dims, 1e-2, SZT, &StreamOptions{Workers: 1, ChunkRows: 3}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(raw), &b, f.Dims, 1e-2, SZT, WithWorkers(1), WithChunkRows(3)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -179,23 +175,23 @@ func TestStreamInputErrors(t *testing.T) {
 	}
 	raw := rawLE(data)
 	var sink bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(raw[:100]), &sink, []int{64}, 1e-2, SZT, nil); err == nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(raw[:100]), &sink, []int{64}, 1e-2, SZT); err == nil {
 		t.Error("short input: want error")
 	} else if !strings.Contains(err.Error(), "short stream input") {
 		t.Errorf("short input: unexpected error %v", err)
 	}
-	if _, err := CompressStream(bytes.NewReader(raw), &sink, []int{0}, 1e-2, SZT, nil); err == nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(raw), &sink, []int{0}, 1e-2, SZT); err == nil {
 		t.Error("zero dim: want error")
 	}
-	if _, err := CompressStream(bytes.NewReader(raw), &sink, []int{64}, 1e-2, SZABS, nil); err == nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(raw), &sink, []int{64}, 1e-2, SZABS); err == nil {
 		t.Error("absolute algo: want ErrNeedsAbsolute")
 	}
-	if _, err := CompressStream(bytes.NewReader(raw), &sink, []int{64}, 2.0, SZT, nil); err == nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(raw), &sink, []int{64}, 2.0, SZT); err == nil {
 		t.Error("bad bound: want error")
 	}
 	// A failing writer must abort the pipeline with an error, not hang.
 	ew := &errAfterWriter{limit: 10}
-	if _, err := CompressStream(bytes.NewReader(raw), ew, []int{64}, 1e-2, SZT, &StreamOptions{ChunkRows: 4}); err == nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(raw), ew, []int{64}, 1e-2, SZT, WithChunkRows(4)); err == nil {
 		t.Error("failing sink: want error")
 	}
 }
@@ -217,7 +213,7 @@ func TestStreamDecodeErrors(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	f := datagen.NYX(8, 5)[0]
 	var comp bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(rawLE(f.Data)), &comp, f.Dims, 1e-2, SZT, &StreamOptions{ChunkRows: 2}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(f.Data)), &comp, f.Dims, 1e-2, SZT, WithChunkRows(2)); err != nil {
 		t.Fatal(err)
 	}
 	stream := comp.Bytes()
@@ -320,8 +316,8 @@ func TestStreamBoundedMemory(t *testing.T) {
 
 	src := &synthReader{remaining: fieldBytes}
 	cw := &countingWriter{w: io.Discard}
-	st, err := CompressStream(src, cw, []int{rows, rowStride}, 1e-2, SZT,
-		&StreamOptions{Workers: workers, ChunkRows: chunkRows})
+	st, err := CompressStreamOpts(src, cw, []int{rows, rowStride}, 1e-2, SZT,
+		WithWorkers(workers), WithChunkRows(chunkRows))
 	close(stopSampling)
 	<-samplerDone
 	if err != nil {
@@ -362,7 +358,7 @@ func TestStreamStatsObservability(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	f := datagen.NYX(16, 9)[0]
 	var comp bytes.Buffer
-	st, err := CompressStream(bytes.NewReader(rawLE(f.Data)), &comp, f.Dims, 1e-2, SZT, &StreamOptions{ChunkRows: 4})
+	st, err := CompressStreamOpts(bytes.NewReader(rawLE(f.Data)), &comp, f.Dims, 1e-2, SZT, WithChunkRows(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,14 +385,21 @@ func TestStreamStatsObservability(t *testing.T) {
 func TestArchiveHoldsStreamContainer(t *testing.T) {
 	f := datagen.NYX(8, 13)[0]
 	var comp bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(rawLE(f.Data)), &comp, f.Dims, 1e-2, ZFPT, &StreamOptions{ChunkRows: 3}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(f.Data)), &comp, f.Dims, 1e-2, ZFPT, WithChunkRows(3)); err != nil {
 		t.Fatal(err)
 	}
-	w := NewArchiveWriter()
+	var arc bytes.Buffer
+	w, err := NewArchiveStreamWriter(&arc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := w.AddCompressed("density", comp.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenArchive(w.Bytes())
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenArchive(arc.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
