@@ -4,8 +4,9 @@
 # Runs, in order: formatting, go vet, the domain lint suite (cmd/pwrvet),
 # build, tests, a focused fault-injection/cancellation/salvage sweep
 # (these double as the goroutine-leak accounting pass), the race
-# detector, and a short fuzz smoke pass over the decode-path fuzz
-# targets. Everything here must pass before merging.
+# detector, the benchmark module's vet and self-test, and a short fuzz
+# smoke pass over the decode-path fuzz targets. Everything here must
+# pass before merging.
 #
 # Usage: ci/check.sh [fuzztime]
 #   fuzztime — per-target fuzz budget (default 5s; "0" skips fuzzing).
@@ -56,6 +57,13 @@ go test -timeout 10m -run 'TestFault|TestDecodeLimits|TestSalvage|Parity|Verify|
 
 step "go test -race"
 go test -race -timeout 20m ./...
+
+# The benchmark is its own module (the leading underscore keeps it out
+# of ./...), so it is vetted and self-tested explicitly: it drives the
+# root package's pipeline and must keep building against it.
+step "benchmark module (_perfbench) vet + self-test"
+go -C _perfbench vet ./...
+go -C _perfbench test -timeout 5m ./...
 
 if [[ "${FUZZTIME}" != "0" ]]; then
     step "fuzz smoke (${FUZZTIME} per target)"

@@ -10,7 +10,7 @@ import (
 
 // purityCheck guards chunk-order determinism: a function invoked from a
 // parallel/stream worker pool (a `go` statement's closure, or a function
-// value handed to a pool runner like runPool) must not write
+// value handed to a pool runner like runChunkPool) must not write
 // package-level state. Workers execute chunks in whatever order the
 // scheduler picks; a shared-state write makes the output — or worse, the
 // compressed bytes — depend on that order, breaking the "same input,

@@ -3,9 +3,8 @@ package repro
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitio"
 	"repro/internal/grid"
@@ -23,13 +22,8 @@ import (
 // The stream container (0xC8, CompressStreamOpts) replaced it with the
 // same chunking plus CRCs, an index, parity and seekable reads. Existing
 // 0xC6 bytes stay readable through DecompressAny/DecompressAnyLimits and
-// as archive fields.
-//
-// The decode pool pulls chunk indices from an atomic counter rather than
-// queueing goroutines behind a semaphore: exactly min(workers, chunks)
-// goroutines run, each checks the pool's context between chunks, and
-// cancellation stops the pool after at most the chunks already being
-// processed.
+// as archive fields; their chunks decode through the same chunk pipeline
+// as the stream paths (runChunkPool, pipeline.go).
 
 const parallelMagic = 0xC6
 
@@ -37,35 +31,6 @@ const parallelMagic = 0xC6
 // parallel container.
 func isParallelContainer(buf []byte) bool {
 	return len(buf) >= 2 && buf[0] == parallelMagic
-}
-
-// runPool runs fn(0..n-1) on min(workers, n) goroutines pulling indices
-// from a shared counter. Workers observe ctx between indices, so
-// cancellation stops the pool after the indices already claimed; the
-// caller checks ctx after the pool drains.
-func runPool(ctx context.Context, workers, n int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= n || ctx.Err() != nil {
-					return
-				}
-				fn(c)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // decompressParallel decodes a legacy 0xC6 container on GOMAXPROCS
@@ -137,35 +102,31 @@ func decompressParallel(ctx context.Context, buf []byte, limits *DecodeLimits) (
 	rowStride := n / dims[0]
 	starts := chunkStarts(dims[0], chunks)
 
-	chunkBufs := make([][]byte, chunks)
-	for c := range chunkBufs {
-		chunkBufs[c] = buf[off : off+lengths[c]]
-		off += lengths[c]
-	}
-
-	errs := make([]error, chunks)
-	runPool(ctx, runtime.GOMAXPROCS(0), chunks, func(c int) {
-		dec, subDims, err := Decompress(chunkBufs[c])
-		if err != nil {
-			errs[c] = err
-			return
-		}
-		lo, hi := starts[c], starts[c+1]
-		wantRows := hi - lo
-		if len(subDims) != len(dims) || subDims[0] != wantRows || len(dec) != wantRows*rowStride {
-			errs[c] = fmt.Errorf("%w: chunk decoded to shape %v, want %d rows of stride %d",
-				ErrCorrupt, subDims, wantRows, rowStride)
-			return
-		}
-		copy(out[lo*rowStride:hi*rowStride], dec)
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, nil, ctxCause(ctx)
-	}
-	for c, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("chunk %d: %w", c, err)
-		}
+	c := 0
+	_, err = runChunkPool(ctx, min(runtime.GOMAXPROCS(0), chunks),
+		func() (decodeJob, error) {
+			if c == chunks {
+				return decodeJob{}, io.EOF
+			}
+			jb := decodeJob{seq: c, in: buf[off : off+lengths[c]]}
+			off += lengths[c]
+			c++
+			return jb, nil
+		},
+		func(jb *decodeJob) error {
+			dec, err := decodeChunk(jb.in, starts[jb.seq+1]-starts[jb.seq], dims)
+			if err != nil {
+				return fmt.Errorf("chunk %d: %w", jb.seq, err)
+			}
+			jb.dec = dec
+			return nil
+		},
+		func(jb *decodeJob) error {
+			copy(out[starts[jb.seq]*rowStride:], jb.dec)
+			return nil
+		})
+	if err != nil {
+		return nil, nil, err
 	}
 	return out, dims, nil
 }

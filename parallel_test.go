@@ -173,6 +173,11 @@ func TestParallelCorrupt(t *testing.T) {
 		mut[rng.Intn(len(mut))] ^= byte(1 << rng.Intn(8))
 		_, _, _ = decompressParallel(ctx, mut, nil) // must not panic
 	}
+	// Every length and CRC is valid, but the second chunk's trailing
+	// dims disagree with the field's.
+	if _, _, err := DecompressAny(misshapenParallel(t)); !errors.Is(err, ErrCorrupted) {
+		t.Fatalf("misshapen chunk: err = %v, want ErrCorrupted", err)
+	}
 }
 
 func TestChunkStarts(t *testing.T) {

@@ -135,14 +135,9 @@ func DecompressStreamSalvage(r io.Reader, w io.Writer, limits *DecodeLimits) (_ 
 		rows := hdr.ChunkRowCount(i)
 		var dec []float64
 		if f.Payload != nil {
-			d, subDims, derr := Decompress(f.Payload)
-			switch {
-			case derr != nil:
+			var derr error
+			if dec, derr = decodeChunk(f.Payload, rows, hdr.Dims); derr != nil {
 				f.Damaged, f.Reason = true, fmt.Sprintf("payload does not decode: %v", derr)
-			case len(subDims) == 0 || subDims[0] != rows || len(d) != rows*rowStride:
-				f.Damaged, f.Reason = true, fmt.Sprintf("payload decodes to shape %v, want %d rows of stride %d", subDims, rows, rowStride)
-			default:
-				dec = d
 			}
 		}
 		if dec != nil {

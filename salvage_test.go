@@ -2,6 +2,9 @@ package repro
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"testing"
 
@@ -196,4 +199,98 @@ func TestSalvageDoubleDamageWithIndex(t *testing.T) {
 		t.Fatalf("LostBytes = %v, want two separate damaged regions", rep.LostBytes)
 	}
 	checkRegions(t, rep, got, clean, 4)
+}
+
+// misshapenChunks returns two chunk payloads for a [4,2,3] field whose
+// second chunk was compressed as [2,3,2]: a valid payload of the right
+// row count and value count, whose CRC verifies in any container, but
+// whose trailing dims disagree with the field's.
+func misshapenChunks(t *testing.T) (dims []int, chunks [][]byte) {
+	t.Helper()
+	vals := make([]float64, 12)
+	for i := range vals {
+		vals[i] = float64(i) + 1.5
+	}
+	for _, sub := range [][]int{{2, 2, 3}, {2, 3, 2}} {
+		c, err := Compress(vals, sub, 1e-2, SZT, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks = append(chunks, c)
+	}
+	return []int{4, 2, 3}, chunks
+}
+
+// misshapenStream seals misshapenChunks in a stream container.
+func misshapenStream(t *testing.T) []byte {
+	t.Helper()
+	dims, chunks := misshapenChunks(t)
+	var buf bytes.Buffer
+	sw, err := streamfmt.NewWriter(&buf, streamfmt.Header{Algo: byte(SZT), Dims: dims, ChunkRows: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range chunks {
+		if err := sw.WriteChunk(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// misshapenParallel lays misshapenChunks out as a legacy 0xC6 container.
+func misshapenParallel(t *testing.T) []byte {
+	t.Helper()
+	dims, chunks := misshapenChunks(t)
+	buf := []byte{parallelMagic, byte(SZT)}
+	buf = binary.AppendUvarint(buf, uint64(len(dims)))
+	for _, d := range dims {
+		buf = binary.AppendUvarint(buf, uint64(d))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(chunks)))
+	for _, c := range chunks {
+		buf = binary.AppendUvarint(buf, uint64(len(c)))
+	}
+	for _, c := range chunks {
+		buf = append(buf, c...)
+	}
+	return buf
+}
+
+// TestSalvageMisshapenChunk: a chunk whose CRC verifies but whose
+// trailing dims disagree with the field is lost and NaN-filled, the same
+// verdict the linear and seekable decoders reach.
+func TestSalvageMisshapenChunk(t *testing.T) {
+	defer testutil.NoLeak(t)()
+	stream := misshapenStream(t)
+	if _, err := DecompressStreamOpts(bytes.NewReader(stream), io.Discard); !errors.Is(err, ErrCorrupted) {
+		t.Fatalf("DecompressStreamOpts err = %v, want ErrCorrupted", err)
+	}
+	h, err := OpenStream(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ReadRows(make([]float64, 24), 0, 4); !errors.Is(err, ErrCorrupted) {
+		t.Fatalf("ReadRows err = %v, want ErrCorrupted", err)
+	}
+
+	rep, got := salvage(t, stream)
+	if rep.Recovered != 1 || len(rep.LostChunks) != 1 || rep.LostChunks[0] != 1 {
+		t.Fatalf("recovered=%d lost=%v, want 1 recovered, chunk 1 lost", rep.Recovered, rep.LostChunks)
+	}
+	if len(rep.LostRows) != 1 || rep.LostRows[0] != (RowRange{2, 4}) {
+		t.Fatalf("LostRows = %v, want [{2 4}]", rep.LostRows)
+	}
+	vals := fromLE(got)
+	if len(vals) != 24 {
+		t.Fatalf("salvage wrote %d values, want 24", len(vals))
+	}
+	for i, v := range vals {
+		if lost := i >= 12; lost != math.IsNaN(v) {
+			t.Fatalf("element %d = %v: lost rows must be NaN, recovered rows must not", i, v)
+		}
+	}
 }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/streamfmt"
 )
@@ -19,7 +17,8 @@ import (
 // OpenStream parses the header plus the sealing tail index frame —
 // never the chunk payloads — and the resulting StreamHandle maps row
 // ranges to chunk extents, seeks straight to the first touched frame,
-// and decodes only the touched chunks through a bounded worker pool.
+// and decodes only the touched chunks through the same bounded chunk
+// pipeline as the forward path (runChunkPool, pipeline.go).
 // A sub-volume read out of a huge post-hoc analysis dump therefore
 // costs O(touched chunks), not O(prefix).
 //
@@ -152,20 +151,13 @@ func (h *StreamHandle) rangeElems(dstLen, start, count uint64) (uint64, error) {
 	return need, nil
 }
 
-// seekJob carries one fetched chunk frame to the decode workers.
-type seekJob struct {
-	seq int
-	in  []byte // CRC-verified payload (aliases buf)
-	buf []byte // freelisted frame buffer
-}
-
-// readRows is the width-independent range-read pipeline: the calling
-// goroutine seeks once and fetches the touched frames sequentially
-// through an exact-extent LimitReader, a worker pool decodes them
-// concurrently, and each worker copies its trimmed rows through emit
-// into a disjoint region of the destination (so no ordering stage is
-// needed). emit receives the destination element offset and the decoded
-// values for [rowLo, rowHi) of the global range.
+// readRows is the width-independent range-read pipeline: one seek, then
+// runChunkPool's producer fetches the touched frames sequentially through
+// an exact-extent LimitReader, its workers decode them concurrently, and
+// the caller's goroutine trims each chunk to the requested rows and
+// copies them through emit into a disjoint region of the destination.
+// emit receives the destination element offset and the decoded values
+// for [rowLo, rowHi) of the global range.
 func (h *StreamHandle) readRows(ctx context.Context, start, count uint64, outBytes int64, emit func(elemOff int, vals []float64)) error {
 	ctx = orDefault(ctx)
 	if err := ctx.Err(); err != nil {
@@ -196,187 +188,96 @@ func (h *StreamHandle) readRows(ctx context.Context, start, count uint64, outByt
 	if workers > c1-c0 {
 		workers = c1 - c0
 	}
-	maxInFlight := workers + 2
 
-	jobs := make(chan *seekJob)
-	free := make(chan []byte, maxInFlight)
-	stop := make(chan struct{})
-	var fl inflight
-	var codecNS atomic.Int64
-	var failOnce sync.Once
-	var firstErr error
-	fail := func(err error) {
-		failOnce.Do(func() {
-			firstErr = err
-			close(stop)
-		})
-	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				h.decodeOne(jb, start, count, stride, chunkRows, stop, &codecNS, emit, fail)
-				select {
-				case free <- jb.buf:
-				default:
-				}
-				fl.leave()
-			}
-		}()
-	}
-
-	// Live frame buffers are bounded by the unbuffered jobs channel: at
-	// most `workers` chunks decoding plus one blocked in the send, so the
-	// freelist only recycles — the O(workers × chunk) invariant of the
-	// forward pipeline holds for range reads too.
-	var readWall time.Duration
+	// The producer owns the source and the fetch counters below; frame
+	// buffers recycle through free, so at most workers+2 are live.
+	free := make(chan []byte, workers+2)
 	var repairBytes int64
 	var damaged []int
-	allocated := 0
-	chunks := 0
-	repaired := 0
-	func() {
-		defer close(jobs) // guaranteed even if a fetch step panics
-	fetch:
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ctx.Done():
-				fail(ctxCause(ctx))
-				return
-			default:
-			}
+	fetched := false
+	allocated, chunks, repaired := 0, 0, 0
+	produce := func() (jb decodeJob, err error) {
+		// The fetch parses container bytes: keep the panic boundary the
+		// exported read methods promise on this goroutine too.
+		defer recoverDecode(&err)
+		for !fetched {
 			var buf []byte
 			select {
 			case buf = <-free:
 			default:
 			}
-			t0 := time.Now()
 			payload, frame, seq, err := fr.Next(buf)
-			readWall += time.Since(t0)
 			if err == io.EOF {
-				break fetch
+				fetched = true
+				break
 			}
 			if err != nil {
 				if errors.Is(err, streamfmt.ErrFrameDamaged) && h.ix.ParityK() > 0 {
 					// Single-frame damage in a parity container: the
 					// reader has already advanced past the bad frame, so
 					// keep fetching and repair after the sequential pass.
-					//lint:allow allochot repair bookkeeping only grows on damaged frames, never on clean reads
 					damaged = append(damaged, seq)
 					continue
 				}
-				fail(err)
-				return
+				return decodeJob{}, err
 			}
 			if cap(frame) > cap(buf) {
 				allocated++ // the frame reader grew a fresh buffer
 			}
 			chunks++
-			//lint:allow allochot per-chunk descriptor; live descriptors are bounded by the in-flight cap
-			jb := &seekJob{seq: seq, in: payload, buf: frame}
-			fl.enter()
-			select {
-			case jobs <- jb:
-			case <-stop:
-				fl.leave()
-				return
-			}
+			return decodeJob{seq: seq, in: payload, buf: frame}, nil
 		}
 		// The sequential fetch is done, so the source position is free
 		// for repair seeks: reconstruct each damaged chunk from its
-		// group's parity frame and siblings, and feed it to the same
-		// decode pool.
-		for _, seq := range damaged {
-			select {
-			case <-stop:
-				return
-			case <-ctx.Done():
-				fail(ctxCause(ctx))
-				return
-			default:
-			}
-			t0 := time.Now()
-			payload, fetched, err := h.ix.RepairChunk(h.src, seq)
-			readWall += time.Since(t0)
-			repairBytes += fetched
-			if err != nil {
-				fail(fmt.Errorf("chunk %d: repair failed: %w", seq, err))
-				return
-			}
-			chunks++
-			repaired++
-			//lint:allow allochot per-repair descriptor on the cold path
-			jb := &seekJob{seq: seq, in: payload, buf: payload}
-			fl.enter()
-			select {
-			case jobs <- jb:
-			case <-stop:
-				fl.leave()
-				return
-			}
+		// group's parity frame and siblings, and decode it like any
+		// other.
+		if len(damaged) == 0 {
+			return decodeJob{}, io.EOF
 		}
-	}()
-	wg.Wait()
+		seq := damaged[0]
+		damaged = damaged[1:]
+		payload, n, err := h.ix.RepairChunk(h.src, seq)
+		repairBytes += n
+		if err != nil {
+			return decodeJob{}, fmt.Errorf("chunk %d: repair failed: %w", seq, err)
+		}
+		chunks++
+		repaired++
+		return decodeJob{seq: seq, in: payload, buf: payload}, nil
+	}
+	work := func(jb *decodeJob) error {
+		dec, err := decodeChunk(jb.in, hdr.ChunkRowCount(jb.seq), hdr.Dims)
+		select {
+		case free <- jb.buf:
+		default:
+		}
+		if err != nil {
+			return fmt.Errorf("chunk %d: %w", jb.seq, err)
+		}
+		jb.dec = dec
+		return nil
+	}
+	consume := func(jb *decodeJob) error {
+		chunkLo := uint64(jb.seq) * chunkRows
+		gLo := max(chunkLo, start)
+		gHi := min(chunkLo+uint64(hdr.ChunkRowCount(jb.seq)), start+count)
+		emit(int((gLo-start)*stride), jb.dec[(gLo-chunkLo)*stride:(gHi-chunkLo)*stride])
+		return nil
+	}
+	pt, err := runChunkPool(ctx, workers, produce, work, consume)
 
 	h.stats.Chunks += chunks
 	h.stats.BytesIn += fr.BytesRead() + repairBytes
-	h.stats.ReadWall += readWall
-	h.stats.CodecWall += time.Duration(codecNS.Load())
+	h.stats.ReadWall += pt.read
+	h.stats.CodecWall += pt.codec
+	h.stats.WriteWall += pt.write
 	h.stats.BuffersAllocated += allocated
 	h.stats.ParityFrames += fr.ParitySkipped()
 	h.stats.RepairedChunks += repaired
-	if m := int(fl.max.Load()); m > h.stats.MaxInFlight {
-		h.stats.MaxInFlight = m
-	}
-	if firstErr != nil {
-		return firstErr
+	h.stats.MaxInFlight = max(h.stats.MaxInFlight, pt.maxInFlight)
+	if err != nil {
+		return err
 	}
 	h.stats.BytesOut += outBytes
 	return nil
-}
-
-// decodeOne decompresses one fetched chunk, validates its shape against
-// the container geometry, trims it to the requested row range, and
-// emits the covered elements. Decode work is skipped (but the job still
-// drained) once the pipeline has failed.
-func (h *StreamHandle) decodeOne(jb *seekJob, start, count, stride, chunkRows uint64, stop chan struct{}, codecNS *atomic.Int64, emit func(elemOff int, vals []float64), fail func(error)) {
-	select {
-	case <-stop:
-		return
-	default:
-	}
-	hdr := &h.ix.Hdr
-	rows := hdr.ChunkRowCount(jb.seq)
-	t0 := time.Now()
-	dec, subDims, err := Decompress(jb.in)
-	codecNS.Add(time.Since(t0).Nanoseconds())
-	if err == nil {
-		if len(subDims) != len(hdr.Dims) || subDims[0] != rows || uint64(len(dec)) != uint64(rows)*stride {
-			err = fmt.Errorf("%w: chunk %d decoded to shape %v, want %d rows of stride %d",
-				ErrCorrupted, jb.seq, subDims, rows, stride)
-		}
-		for i := 1; err == nil && i < len(hdr.Dims); i++ {
-			if subDims[i] != hdr.Dims[i] {
-				err = fmt.Errorf("%w: chunk %d dims %v disagree with field %v", ErrCorrupted, jb.seq, subDims, hdr.Dims)
-			}
-		}
-	}
-	if err != nil {
-		fail(fmt.Errorf("chunk %d: %w", jb.seq, err))
-		return
-	}
-	chunkLo := uint64(jb.seq) * chunkRows
-	gLo, gHi := chunkLo, chunkLo+uint64(rows)
-	if start > gLo {
-		gLo = start
-	}
-	if end := start + count; end < gHi {
-		gHi = end
-	}
-	emit(int((gLo-start)*stride), dec[(gLo-chunkLo)*stride:(gHi-chunkLo)*stride])
 }

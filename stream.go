@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,31 +17,31 @@ import (
 
 // Streaming compression: the field is sliced along dims[0] into
 // chunks, each chunk becomes one self-describing Compress stream, and
-// the field flows through a bounded pipeline instead of being
-// materialized: a reader goroutine slices rows off an io.Reader of raw
-// little-endian floats, a worker pool compresses chunks concurrently,
-// and a writer goroutine emits framed chunks (internal/streamfmt) in
-// field order. Peak memory is O(workers × chunk), independent of field
-// size, which is what lets a rank open fields larger than its share of
-// RAM before dumping to the parallel file system (the paper's §V.C
-// deployment shape, as FRaZ and the bit-adaptive particle compressor
-// stress for practical pipelines). The same pipeline is the package's
-// multi-core compressor: for an in-memory field, wrap it in a
-// bytes.Reader.
+// the field flows through the bounded chunk pipeline (runChunkPool,
+// pipeline.go) instead of being materialized: its producer slices rows
+// off an io.Reader of raw little-endian floats, its workers compress
+// chunks concurrently, and the caller's goroutine emits framed chunks
+// (internal/streamfmt) in field order. Decompression runs the same
+// pipeline the other way round. Peak memory is O(workers × chunk),
+// independent of field size, which is what lets a rank open fields
+// larger than its share of RAM before dumping to the parallel file
+// system (the paper's §V.C deployment shape, as FRaZ and the
+// bit-adaptive particle compressor stress for practical pipelines). The
+// same pipeline is the package's multi-core compressor: for an
+// in-memory field, wrap it in a bytes.Reader.
 //
-// Both directions take WithContext, which threads a context.Context
-// through the reader/worker/writer stages: cancellation (like a sink
-// write error) closes the pipeline's stop channel, after which the
-// reader pulls no further frames, the worker pool drains, and every
-// pipeline goroutine exits before the call returns. The one blocking
-// operation a context cannot interrupt is a Read/Write already in
-// flight on the caller's reader or writer — teardown completes when
-// that call returns, the same contract as any blocking Go I/O.
+// Both directions take WithContext: cancellation (like a sink write
+// error) stops the pipeline, after which the producer pulls no further
+// frames, the workers drain, and every pipeline goroutine exits before
+// the call returns. The one blocking operation a context cannot
+// interrupt is a Read/Write already in flight on the caller's reader or
+// writer — teardown completes when that call returns, the same contract
+// as any blocking Go I/O.
 //
 // The containers this pipeline seals are also randomly addressable:
 // OpenStream (seek.go) rebuilds the chunk offset table from the tail
 // index frame and serves arbitrary row ranges at O(touched chunks)
-// cost through the same worker-pool machinery.
+// cost through the same pipeline.
 
 // StreamStats reports per-stream observability counters. All fields are
 // totals over the whole stream; wall times are per stage (Codec summed
@@ -78,34 +77,23 @@ type StreamStats struct {
 	VerifiedChunks int
 }
 
-// streamJob carries one chunk through the pipeline.
-type streamJob struct {
+// compressJob is one chunk on the compress path.
+type compressJob struct {
 	seq  int
-	data []float64 // chunk input (compress) — freelisted
 	rows int
-	in   []byte // chunk payload (decompress) — freelisted after decode
-	out  []byte // compressed frame payload (compress)
-	dec  []float64
-	err  error
-	done chan struct{}
+	data []float64 // freelisted chunk buffer
+	out  []byte    // compressed frame payload
 }
 
-// inflight tracks the live-chunk high-water mark.
-type inflight struct {
-	cur, max atomic.Int64
+// decodeJob is one chunk on a decode path (stream, range read, legacy
+// 0xC6): its payload, the freelisted buffer the payload lives in (nil
+// when the path recycles none), and the decoded values.
+type decodeJob struct {
+	seq int
+	in  []byte
+	buf []byte
+	dec []float64
 }
-
-func (f *inflight) enter() {
-	c := f.cur.Add(1)
-	for {
-		m := f.max.Load()
-		if c <= m || f.max.CompareAndSwap(m, c) {
-			return
-		}
-	}
-}
-
-func (f *inflight) leave() { f.cur.Add(-1) }
 
 // defaultChunkRows targets ~256Ki elements (2 MiB of float64) per
 // chunk, shrunk so a chunk's raw bytes stay within maxChunkBytes when
@@ -199,7 +187,6 @@ func compressStream(cfg *StreamConfig, r io.Reader, w io.Writer, dims []int, rel
 	if chunkElems > 1<<28 {
 		return nil, fmt.Errorf("repro: chunk of %d elements exceeds the 2 GiB chunk budget; reduce ChunkRows", chunkElems)
 	}
-	maxInFlight := workers + 2
 
 	cw := &countingWriter{w: w}
 	sw, err := streamfmt.NewWriter(cw,
@@ -208,178 +195,118 @@ func compressStream(cfg *StreamConfig, r io.Reader, w io.Writer, dims []int, rel
 		return nil, err
 	}
 
+	// BytesIn and BuffersAllocated are counted on the producer
+	// goroutine, Chunks on the consumer; runChunkPool orders both before
+	// its return.
 	stats := &StreamStats{}
-	jobs := make(chan *streamJob)
-	order := make(chan *streamJob, maxInFlight)
-	free := make(chan []float64, maxInFlight)
-	stop := make(chan struct{})
-	var fl inflight
-	var codecNS atomic.Int64
+	free := make(chan []float64, workers+2)
+	raw := make([]byte, chunkElems*elemSize)
 	var verified atomic.Int64
-
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				t0 := time.Now()
-				subDims := append([]int{jb.rows}, dims[1:]...)
-				jb.out, jb.err = Compress(jb.data[:jb.rows*rowStride], subDims, relBound, algo, copts)
-				if jb.err == nil && verify {
-					jb.err = verifyChunk(jb.out, jb.data[:jb.rows*rowStride], subDims, relBound, algo)
-					if jb.err == nil {
-						verified.Add(1)
-					}
-				}
-				codecNS.Add(time.Since(t0).Nanoseconds())
-				close(jb.done)
+	seq, row := 0, 0
+	pt, err := runChunkPool(ctx, workers,
+		func() (compressJob, error) {
+			if row == rows {
+				return compressJob{}, io.EOF
 			}
-		}()
-	}
-
-	var readErr error
-	var readWall time.Duration
-	var bytesIn int64
-	var allocated int
-	go func() {
-		defer close(order)
-		defer close(jobs)
-		raw := make([]byte, chunkElems*elemSize)
-		for seq, row := 0, 0; row < rows; seq++ {
-			select {
-			case <-stop:
-				return
-			case <-ctx.Done():
-				readErr = ctxCause(ctx)
-				return
-			default:
-			}
-			n := chunkRows
-			if rows-row < n {
-				n = rows - row
-			}
+			n := min(chunkRows, rows-row)
 			var data []float64
 			select {
 			case data = <-free:
 			default:
-				if allocated < maxInFlight {
-					allocated++
-					//lint:allow allochot freelist fill: at most maxInFlight chunk buffers ever, the bounded-memory invariant
-					data = make([]float64, chunkElems)
-				} else {
-					select {
-					case data = <-free:
-					case <-stop:
-						return
-					}
-				}
+				stats.BuffersAllocated++
+				// The in-flight cap bounds this to workers+2 buffers.
+				data = make([]float64, chunkElems)
 			}
-			t0 := time.Now()
+			data = data[:n*rowStride]
 			want := n * rowStride * elemSize
 			if _, err := io.ReadFull(r, raw[:want]); err != nil {
-				readErr = fmt.Errorf("repro: short stream input at row %d/%d: %w", row, rows, err)
-				return
+				return compressJob{}, fmt.Errorf("repro: short stream input at row %d/%d: %w", row, rows, err)
 			}
-			bytesIn += int64(want)
+			stats.BytesIn += int64(want)
 			if elemSize == 8 {
-				for i := 0; i < n*rowStride; i++ {
+				for i := range data {
 					data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 				}
 			} else {
-				for i := 0; i < n*rowStride; i++ {
+				for i := range data {
 					data[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:])))
 				}
 			}
-			readWall += time.Since(t0)
-			//lint:allow allochot per-chunk descriptor; live descriptors are bounded by the in-flight cap
-			jb := &streamJob{seq: seq, data: data, rows: n, done: make(chan struct{})}
-			fl.enter()
-			select {
-			case jobs <- jb:
-			case <-stop:
-				fl.leave()
-				return
-			}
-			select {
-			case order <- jb:
-			case <-stop:
-				fl.leave()
-				return
-			}
+			jb := compressJob{seq: seq, data: data, rows: n}
+			seq++
 			row += n
-		}
-	}()
-
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			close(stop)
-		}
-	}
-	writeOne := func(jb *streamJob) {
-		defer fl.leave()
-		<-jb.done
-		if firstErr != nil {
-			return
-		}
-		if jb.err != nil {
-			fail(fmt.Errorf("chunk %d: %w", jb.seq, jb.err))
-			return
-		}
-		t0 := time.Now()
-		err := sw.WriteChunk(jb.out)
-		stats.WriteWall += time.Since(t0)
-		if err != nil {
-			fail(fmt.Errorf("chunk %d: %w", jb.seq, err))
-			return
-		}
-		stats.Chunks++
-		select {
-		case free <- jb.data:
-		default:
-		}
-	}
-drain:
-	for {
-		select {
-		case jb, ok := <-order:
-			if !ok {
-				break drain
+			return jb, nil
+		},
+		func(jb *compressJob) error {
+			subDims := append([]int{jb.rows}, dims[1:]...)
+			out, err := Compress(jb.data, subDims, relBound, algo, copts)
+			if err == nil && verify {
+				err = verifyChunk(out, jb.data, subDims, relBound, algo)
+				if err == nil {
+					verified.Add(1)
+				}
 			}
-			writeOne(jb)
-		case <-ctx.Done():
-			fail(ctxCause(ctx))
-			for jb := range order {
-				writeOne(jb)
+			if err != nil {
+				return fmt.Errorf("chunk %d: %w", jb.seq, err)
 			}
-			break drain
-		}
-	}
-	wg.Wait()
-	if firstErr == nil && readErr != nil {
-		firstErr = readErr
-	}
-	stats.ReadWall = readWall
-	stats.CodecWall = time.Duration(codecNS.Load())
-	stats.BytesIn = bytesIn
-	stats.MaxInFlight = int(fl.max.Load())
-	stats.BuffersAllocated = allocated
+			jb.out = out
+			return nil
+		},
+		func(jb *compressJob) error {
+			if err := sw.WriteChunk(jb.out); err != nil {
+				return fmt.Errorf("chunk %d: %w", jb.seq, err)
+			}
+			stats.Chunks++
+			select {
+			case free <- jb.data:
+			default:
+			}
+			return nil
+		})
+	stats.ReadWall, stats.CodecWall, stats.WriteWall = pt.read, pt.codec, pt.write
+	stats.MaxInFlight = pt.maxInFlight
 	stats.VerifiedChunks = int(verified.Load())
+	if err == nil {
+		t0 := time.Now()
+		err = sw.Finish()
+		stats.WriteWall += time.Since(t0)
+	}
 	stats.ParityFrames = sw.ParityWritten()
 	stats.BytesOut = cw.n
-	if firstErr != nil {
-		return stats, firstErr
+	return stats, err
+}
+
+// checkChunkShape checks that a decoded chunk — shape got, n values —
+// is the rows-row slab of a field of the given dims that its container
+// promises: the field's rank, exactly rows rows, the field's trailing
+// dims, and rows × stride values. Every chunk decoder applies it, so a
+// chunk whose CRC verifies but whose payload describes another geometry
+// is rejected on every path alike.
+func checkChunkShape(got []int, n, rows int, dims []int) error {
+	ok := len(got) > 0 && len(got) == len(dims) && got[0] == rows
+	stride := 1
+	for i := 1; ok && i < len(dims); i++ {
+		ok = got[i] == dims[i]
+		stride *= dims[i]
 	}
-	t0 := time.Now()
-	if err := sw.Finish(); err != nil {
-		return stats, err
+	if !ok || n != rows*stride {
+		return fmt.Errorf("decodes to shape %v (%d values), want %d rows of %v", got, n, rows, dims[1:])
 	}
-	stats.WriteWall += time.Since(t0)
-	stats.ParityFrames = sw.ParityWritten()
-	stats.BytesOut = cw.n
-	return stats, nil
+	return nil
+}
+
+// decodeChunk decompresses one chunk payload of a container whose
+// field has the given dims, rejecting it as corrupt unless it holds
+// exactly the promised rows (checkChunkShape).
+func decodeChunk(payload []byte, rows int, dims []int) ([]float64, error) {
+	dec, got, err := Decompress(payload)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkChunkShape(got, len(dec), rows, dims); err != nil {
+		return nil, fmt.Errorf("%w: chunk %v", ErrCorrupted, err)
+	}
+	return dec, nil
 }
 
 // verifyChunk decode-verifies one sealed chunk payload against the
@@ -395,14 +322,8 @@ func verifyChunk(payload []byte, src []float64, subDims []int, relBound float64,
 	if err != nil {
 		return fmt.Errorf("%w: sealed chunk does not decode: %v", ErrVerifyFailed, err)
 	}
-	if len(dims) != len(subDims) || len(dec) != len(src) {
-		return fmt.Errorf("%w: sealed chunk decodes to shape %v (%d elems), want %v (%d)",
-			ErrVerifyFailed, dims, len(dec), subDims, len(src))
-	}
-	for i := range subDims {
-		if dims[i] != subDims[i] {
-			return fmt.Errorf("%w: sealed chunk decodes to shape %v, want %v", ErrVerifyFailed, dims, subDims)
-		}
+	if err := checkChunkShape(dims, len(dec), subDims[0], subDims); err != nil {
+		return fmt.Errorf("%w: sealed chunk %v", ErrVerifyFailed, err)
 	}
 	preserveZeros := algo == SZT || algo == ZFPT || algo == FPZIP || algo == ISABELA
 	checkBound := algo != ZFPP
@@ -497,192 +418,82 @@ func decompressStream(cfg *StreamConfig, r io.Reader, w io.Writer) (_ *StreamSta
 	if workers > expChunks {
 		workers = expChunks
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	maxInFlight := workers + 2
 
+	// As on the compress path, BuffersAllocated is counted on the
+	// producer goroutine and Chunks/BytesOut on the consumer.
 	stats := &StreamStats{}
-	jobs := make(chan *streamJob)
-	order := make(chan *streamJob, maxInFlight)
-	free := make(chan []byte, maxInFlight)
-	stop := make(chan struct{})
-	var fl inflight
-	var codecNS atomic.Int64
-
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				t0 := time.Now()
-				dec, subDims, err := Decompress(jb.in)
-				codecNS.Add(time.Since(t0).Nanoseconds())
-				select {
-				case free <- jb.in:
-				default:
-				}
-				jb.in = nil
+	free := make(chan []byte, workers+2)
+	var out []byte
+	seq := 0
+	pt, err := runChunkPool(ctx, workers,
+		func() (decodeJob, error) {
+			if seq == expChunks {
+				// All chunks read: the next frame must be the index.
+				_, err := sr.Next(nil)
 				if err == nil {
-					if len(subDims) != len(dims) || subDims[0] != jb.rows || len(dec) != jb.rows*rowStride {
-						err = fmt.Errorf("%w: chunk %d decoded to shape %v, want %d rows of stride %d",
-							ErrCorrupt, jb.seq, subDims, jb.rows, rowStride)
-					}
-					for i := 1; err == nil && i < len(dims); i++ {
-						if subDims[i] != dims[i] {
-							err = fmt.Errorf("%w: chunk %d dims %v disagree with field %v", ErrCorrupt, jb.seq, subDims, dims)
-						}
-					}
+					err = fmt.Errorf("%w: extra frame after final chunk", ErrCorrupt)
 				}
-				jb.dec, jb.err = dec, err
-				close(jb.done)
-			}
-		}()
-	}
-
-	var readErr error
-	var readWall time.Duration
-	var allocated int
-	go func() {
-		defer close(order)
-		defer close(jobs)
-		for seq := 0; seq < expChunks; seq++ {
-			select {
-			case <-stop:
-				return
-			case <-ctx.Done():
-				readErr = ctxCause(ctx)
-				return
-			default:
+				return decodeJob{}, err
 			}
 			var scratch []byte
 			select {
 			case scratch = <-free:
 			default:
 			}
-			t0 := time.Now()
 			payload, err := sr.Next(scratch)
-			readWall += time.Since(t0)
+			if err == io.EOF {
+				err = fmt.Errorf("%w: index frame before chunk %d", ErrCorrupt, seq)
+			}
 			if err != nil {
-				readErr = err
-				return
+				return decodeJob{}, err
 			}
 			if len(payload) > cap(scratch) {
-				allocated++ // streamfmt grew a fresh payload buffer
+				stats.BuffersAllocated++ // streamfmt grew a fresh payload buffer
 			}
-			// The payload may alias scratch; hand ownership to the job.
-			//lint:allow allochot per-chunk descriptor; live descriptors are bounded by the in-flight cap
-			jb := &streamJob{seq: seq, in: payload, rows: hdr.ChunkRowCount(seq), done: make(chan struct{})}
-			fl.enter()
+			// The payload may alias scratch; the job owns it until decoded.
+			jb := decodeJob{seq: seq, in: payload, buf: payload}
+			seq++
+			return jb, nil
+		},
+		func(jb *decodeJob) error {
+			dec, err := decodeChunk(jb.in, hdr.ChunkRowCount(jb.seq), dims)
 			select {
-			case jobs <- jb:
-			case <-stop:
-				fl.leave()
-				return
+			case free <- jb.buf:
+			default:
 			}
-			select {
-			case order <- jb:
-			case <-stop:
-				fl.leave()
-				return
+			if err != nil {
+				return fmt.Errorf("chunk %d: %w", jb.seq, err)
 			}
-		}
-		// All chunks read: the next frame must be the index. Skip the
-		// read when the pipeline already failed — the writer's error
-		// must not race an extra pull from the source.
-		select {
-		case <-stop:
-			return
-		case <-ctx.Done():
-			readErr = ctxCause(ctx)
-			return
-		default:
-		}
-		t0 := time.Now()
-		_, err := sr.Next(nil)
-		readWall += time.Since(t0)
-		if err != io.EOF {
-			if err == nil {
-				err = fmt.Errorf("%w: extra frame after final chunk", ErrCorrupt)
+			jb.dec = dec
+			return nil
+		},
+		func(jb *decodeJob) error {
+			need := len(jb.dec) * elemSize
+			if cap(out) < need {
+				out = make([]byte, need)
 			}
-			readErr = err
-		}
-	}()
-
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			close(stop)
-		}
-	}
-	var out []byte
-	writeOne := func(jb *streamJob) {
-		defer fl.leave()
-		<-jb.done
-		if firstErr != nil {
-			return
-		}
-		if jb.err != nil {
-			fail(fmt.Errorf("chunk %d: %w", jb.seq, jb.err))
-			return
-		}
-		t0 := time.Now()
-		need := len(jb.dec) * elemSize
-		if cap(out) < need {
-			//lint:allow allochot grows once to the largest chunk, then reused across all chunks
-			out = make([]byte, need)
-		}
-		out = out[:need]
-		if elemSize == 8 {
-			for i, v := range jb.dec {
-				binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
+			out = out[:need]
+			if elemSize == 8 {
+				for i, v := range jb.dec {
+					binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
+				}
+			} else {
+				for i, v := range jb.dec {
+					binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(float32(v)))
+				}
 			}
-		} else {
-			for i, v := range jb.dec {
-				binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(float32(v)))
+			if _, err := w.Write(out); err != nil {
+				return fmt.Errorf("chunk %d: %w", jb.seq, err)
 			}
-		}
-		_, err := w.Write(out)
-		stats.WriteWall += time.Since(t0)
-		if err != nil {
-			fail(fmt.Errorf("chunk %d: %w", jb.seq, err))
-			return
-		}
-		stats.Chunks++
-		stats.BytesOut += int64(need)
-	}
-drain:
-	for {
-		select {
-		case jb, ok := <-order:
-			if !ok {
-				break drain
-			}
-			writeOne(jb)
-		case <-ctx.Done():
-			fail(ctxCause(ctx))
-			for jb := range order {
-				writeOne(jb)
-			}
-			break drain
-		}
-	}
-	wg.Wait()
-	if firstErr == nil && readErr != nil {
-		firstErr = readErr
-	}
-	stats.ReadWall = readWall
-	stats.CodecWall = time.Duration(codecNS.Load())
+			stats.Chunks++
+			stats.BytesOut += int64(need)
+			return nil
+		})
+	stats.ReadWall, stats.CodecWall, stats.WriteWall = pt.read, pt.codec, pt.write
+	stats.MaxInFlight = pt.maxInFlight
 	stats.BytesIn = sr.Consumed()
-	stats.MaxInFlight = int(fl.max.Load())
-	stats.BuffersAllocated = allocated
 	stats.ParityFrames = sr.ParityRead()
-	if firstErr != nil {
-		return stats, firstErr
-	}
-	return stats, nil
+	return stats, err
 }
 
 // IsStreamContainer reports whether buf starts a CompressStreamOpts

@@ -378,6 +378,26 @@ func TestStreamStatsObservability(t *testing.T) {
 	if dst.BytesOut != int64(len(f.Data)*8) {
 		t.Errorf("decode BytesOut %d want %d", dst.BytesOut, len(f.Data)*8)
 	}
+
+	// A full-range ReadRows runs the same pipeline under the same bounds.
+	const workers = 2
+	h, err := OpenStream(bytes.NewReader(comp.Bytes()), WithWorkers(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ReadRows(make([]float64, len(f.Data)), 0, h.Rows()); err != nil {
+		t.Fatal(err)
+	}
+	rst := h.Stats()
+	if rst.Chunks != 4 || rst.CodecWall <= 0 || rst.MaxInFlight < 1 {
+		t.Errorf("implausible ReadRows stats: %+v", rst)
+	}
+	if rst.BuffersAllocated > workers+2 {
+		t.Errorf("ReadRows allocated %d frame buffers, bound is workers+2 = %d", rst.BuffersAllocated, workers+2)
+	}
+	if rst.MaxInFlight > workers+2 {
+		t.Errorf("ReadRows max in-flight %d, bound is workers+2 = %d", rst.MaxInFlight, workers+2)
+	}
 }
 
 // TestArchiveHoldsStreamContainer checks a stream container is a valid
