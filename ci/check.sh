@@ -54,6 +54,9 @@ go test -timeout 10m ./...
 
 step "fault-injection sweep + goroutine accounting"
 go test -timeout 10m -run 'TestFault|TestDecodeLimits|TestSalvage|Parity|Verify|Ctx' -count=1 .
+# The heap high-water tests sample a live heap, so a regression in
+# per-chunk allocation shows first as flakes: 20 repeats make one fail CI.
+go test -timeout 10m -run 'TestStreamBoundedMemory|TestArchiveStreamMemoryBudget' -count=20 .
 
 step "go test -race"
 go test -race -timeout 20m ./...
@@ -67,9 +70,12 @@ go -C _perfbench test -timeout 5m ./...
 
 if [[ "${FUZZTIME}" != "0" ]]; then
     step "fuzz smoke (${FUZZTIME} per target)"
-    for target in FuzzDecompress FuzzDecompressParallel FuzzOpenArchive FuzzHeaderMutation FuzzCompressRoundTrip FuzzDecompressStream FuzzStreamRoundTrip FuzzStreamSalvage FuzzOpenStream FuzzReadRows FuzzOpenArchiveStream; do
-        echo "-- ${target}"
-        go test -run='^$' -fuzz="^${target}\$" -fuzztime="${FUZZTIME}" .
+    # Each entry is package:target (go test -fuzz takes one package).
+    for entry in .:FuzzDecompress .:FuzzDecompressParallel .:FuzzOpenArchive .:FuzzHeaderMutation .:FuzzCompressRoundTrip .:FuzzDecompressStream .:FuzzStreamRoundTrip .:FuzzStreamSalvage .:FuzzOpenStream .:FuzzReadRows .:FuzzOpenArchiveStream ./internal/huffman:FuzzHuffmanDecodeAll; do
+        pkg="${entry%%:*}"
+        target="${entry#*:}"
+        echo "-- ${pkg} ${target}"
+        go test -run='^$' -fuzz="^${target}\$" -fuzztime="${FUZZTIME}" "${pkg}"
     done
 fi
 

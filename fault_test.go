@@ -3,7 +3,9 @@ package repro
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"testing"
@@ -580,6 +582,51 @@ func TestDecodeLimits(t *testing.T) {
 		t.Errorf("archive under generous limits: %v", err)
 	} else if _, _, err := r.Field("f0"); err != nil {
 		t.Errorf("archive field under generous limits: %v", err)
+	}
+}
+
+// TestFaultInflateBomb: a CRC-valid 0xC8 chunk of about 64 KiB, well
+// inside MaxChunkBytes, holds a 4-value SZ stream whose lossless stage
+// inflates to 64 MiB. The decoder must refuse it as corrupt once the
+// inflated body outgrows what 4 values can need, not allocate the 64 MiB.
+func TestFaultInflateBomb(t *testing.T) {
+	defer testutil.NoLeak(t)()
+	body := testutil.DeflateZeros(t, 64)
+	inner := binary.BigEndian.AppendUint32(nil, 0x535A4731) // SZ stream magic "SZG1"
+	inner = append(inner, 1)                                // absolute-bound mode
+	inner = binary.AppendUvarint(inner, 1)                  // rank
+	inner = binary.AppendUvarint(inner, 4)                  // dims
+	inner = binary.BigEndian.AppendUint64(inner, math.Float64bits(0.01))
+	inner = binary.AppendUvarint(inner, 65536) // quantization intervals
+	inner = binary.AppendUvarint(inner, 8)     // PWR block side
+	inner = append(inner, 1)                   // flags: DEFLATE body
+	inner = binary.AppendUvarint(inner, uint64(len(body)))
+	inner = append(inner, body...)
+	chunk := []byte{containerMagic, byte(SZABS)}
+	chunk = binary.BigEndian.AppendUint32(chunk, crc32.ChecksumIEEE(inner))
+	chunk = append(chunk, inner...)
+
+	var stream bytes.Buffer
+	sw, err := streamfmt.NewWriter(&stream, streamfmt.Header{Algo: byte(SZABS), Dims: []int{4}, ChunkRows: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.WriteChunk(chunk); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	limits := &DecodeLimits{MaxElements: 1 << 16, MaxChunkBytes: 1 << 20}
+	var derr error
+	got := testutil.AllocBytes(func() {
+		_, derr = DecompressStreamOpts(bytes.NewReader(stream.Bytes()), io.Discard, WithLimits(limits))
+	})
+	if !errors.Is(derr, ErrCorrupted) {
+		t.Fatalf("err = %v, want ErrCorrupted", derr)
+	}
+	if got >= 16<<20 {
+		t.Fatalf("decoding a %d-byte container allocated %d B, want < 16 MiB", stream.Len(), got)
 	}
 }
 

@@ -6,13 +6,19 @@
 // Codes are canonical: only the code lengths are serialized, and both sides
 // rebuild identical code books, which keeps headers small and decoding
 // table-driven.
+//
+// Every table is sized to the symbols present, never to the alphabet. SZ
+// rebuilds its code book for every chunk over a 65,537-symbol alphabet of
+// which a chunk uses a few dozen to a few thousand symbols, so per-chunk
+// set-up costs O(symbols present + values), plus a decode lookup table of
+// at most 2^lutMaxBits entries.
 package huffman
 
 import (
-	"container/heap"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bitio"
 )
@@ -32,16 +38,18 @@ var (
 // Codec holds a canonical Huffman code book for symbols in [0, alphabet).
 type Codec struct {
 	alphabet int
-	lengths  []uint8  // code length per symbol; 0 = absent
-	codes    []uint64 // canonical code per symbol (valid when lengths>0)
+	syms     []int    // present symbols, ascending
+	lens     []uint8  // code length of syms[i]
+	codes    []uint64 // canonical code of syms[i]
 
-	// Decoding acceleration: first code value and first index per length.
+	// Decoding: symbols ranked by (length, symbol), and the first code
+	// value and first rank at each length. firstIndex[maxLen+1] is the
+	// number of present symbols.
 	firstCode  [MaxCodeLen + 2]uint64
 	firstIndex [MaxCodeLen + 2]int
-	symByOrder []uint32 // symbols sorted by (length, symbol)
+	symByOrder []uint32
 	maxLen     uint8
 	minLen     uint8
-	count      int // number of present symbols
 
 	// lut accelerates decoding of codes up to lutBits long: indexed by the
 	// next lutBits of the stream, each entry holds symbol<<6 | length
@@ -54,79 +62,128 @@ type Codec struct {
 // covers the code lengths that dominate SZ quantization-code streams.
 const lutMaxBits = 12
 
-type hnode struct {
-	freq   uint64
-	symbol int // -1 for internal
-	left   *hnode
-	right  *hnode
-	seq    int // tie-break for determinism
-}
-
-type hheap []*hnode
-
-func (h hheap) Len() int { return len(h) }
-func (h hheap) Less(i, j int) bool {
-	if h[i].freq != h[j].freq {
-		return h[i].freq < h[j].freq
-	}
-	return h[i].seq < h[j].seq
-}
-func (h hheap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *hheap) Push(x interface{}) { *h = append(*h, x.(*hnode)) }
-func (h *hheap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // Build constructs a canonical code book from the frequency table freqs,
 // indexed by symbol. Symbols with zero frequency receive no code.
 func Build(freqs []uint64) (*Codec, error) {
-	c := &Codec{
-		alphabet: len(freqs),
-		lengths:  make([]uint8, len(freqs)),
-		codes:    make([]uint64, len(freqs)),
+	k := 0
+	for _, f := range freqs {
+		if f > 0 {
+			k++
+		}
 	}
-	h := make(hheap, 0, len(freqs))
-	seq := 0
+	syms := make([]int, 0, k)
+	present := make([]uint64, 0, k)
 	for sym, f := range freqs {
 		if f > 0 {
-			h = append(h, &hnode{freq: f, symbol: sym, seq: seq})
-			seq++
-			c.count++
+			syms = append(syms, sym)
+			present = append(present, f)
 		}
 	}
-	if c.count == 0 {
-		return nil, errors.New("huffman: empty frequency table")
+	c, err := build(len(freqs), syms, present)
+	if err != nil {
+		return nil, err
 	}
-	if c.count == 1 {
-		// Single symbol: give it a 1-bit code so the stream is decodable.
-		c.lengths[h[0].symbol] = 1
-	} else {
-		heap.Init(&h)
-		for h.Len() > 1 {
-			a := heap.Pop(&h).(*hnode)
-			b := heap.Pop(&h).(*hnode)
-			heap.Push(&h, &hnode{freq: a.freq + b.freq, symbol: -1, left: a, right: b, seq: seq})
-			seq++
-		}
-		root := h[0]
-		assignDepths(root, 0, c.lengths)
-		limitDepths(c.lengths, MaxCodeLen)
-	}
-	c.finish()
+	c.buildLUT()
 	return c, nil
 }
 
-func assignDepths(n *hnode, depth uint8, lengths []uint8) {
-	if n.symbol >= 0 {
-		lengths[n.symbol] = depth
-		return
+// build makes the code book (without the decode lookup table) for the
+// present symbols syms, ascending, with nonzero frequencies freqs.
+func build(alphabet int, syms []int, freqs []uint64) (*Codec, error) {
+	if len(syms) == 0 {
+		return nil, errors.New("huffman: empty frequency table")
 	}
-	assignDepths(n.left, depth+1, lengths)
-	assignDepths(n.right, depth+1, lengths)
+	c := &Codec{alphabet: alphabet, syms: syms, lens: codeLengths(freqs)}
+	c.assign()
+	return c, nil
+}
+
+// codeLengths returns the Huffman code length of each of the nonzero
+// frequencies freqs, limited to MaxCodeLen. Nodes 0..n-1 are the leaves
+// and n..2n-2 the merged nodes in creation order; the least-weight node
+// is merged first, ties going to the lower id, so the lengths (and the
+// stream bytes) are deterministic.
+func codeLengths(freqs []uint64) []uint8 {
+	n := len(freqs)
+	lens := make([]uint8, n)
+	if n == 1 {
+		// Single symbol: give it a 1-bit code so the stream is decodable.
+		lens[0] = 1
+		return lens
+	}
+	h := nodeHeap{weight: make([]uint64, 2*n-1), ids: make([]int, n)}
+	copy(h.weight, freqs)
+	for i := range h.ids {
+		h.ids[i] = i
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	parent := make([]int, 2*n-1)
+	for next := n; next < 2*n-1; next++ {
+		a, b := h.pop(), h.pop()
+		h.weight[next] = h.weight[a] + h.weight[b]
+		parent[a], parent[b] = next, next
+		h.push(next)
+	}
+	// Parents are created after their children, so one downward sweep
+	// from the root (the last node) sets every depth.
+	depth := make([]uint8, 2*n-1)
+	for id := 2*n - 3; id >= 0; id-- {
+		depth[id] = depth[parent[id]] + 1
+	}
+	copy(lens, depth[:n])
+	limitDepths(lens, MaxCodeLen)
+	return lens
+}
+
+// nodeHeap is a binary min-heap of node ids ordered by (weight, id).
+type nodeHeap struct {
+	weight []uint64
+	ids    []int
+}
+
+func (h *nodeHeap) less(i, j int) bool {
+	a, b := h.ids[i], h.ids[j]
+	return h.weight[a] < h.weight[b] || h.weight[a] == h.weight[b] && a < b
+}
+
+func (h *nodeHeap) down(i int) {
+	for {
+		m, l := i, 2*i+1
+		if l < len(h.ids) && h.less(l, m) {
+			m = l
+		}
+		if r := l + 1; r < len(h.ids) && h.less(r, m) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h.ids[i], h.ids[m] = h.ids[m], h.ids[i]
+		i = m
+	}
+}
+
+func (h *nodeHeap) pop() int {
+	top := h.ids[0]
+	last := len(h.ids) - 1
+	h.ids[0] = h.ids[last]
+	h.ids = h.ids[:last]
+	h.down(0)
+	return top
+}
+
+func (h *nodeHeap) push(id int) {
+	h.ids = append(h.ids, id)
+	for i := len(h.ids) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			return
+		}
+		h.ids[i], h.ids[p] = h.ids[p], h.ids[i]
+		i = p
+	}
 }
 
 // limitDepths enforces a maximum code length using the standard
@@ -178,79 +235,67 @@ func limitDepths(lengths []uint8, maxLen uint8) {
 	}
 }
 
-// finish derives canonical codes and decode tables from c.lengths.
-func (c *Codec) finish() {
-	type ls struct {
-		sym int
-		l   uint8
+// assign derives the canonical codes and the decode ranking from c.lens.
+// Symbols are ranked by (length, symbol) with a counting sort over
+// lengths, stable because c.syms is ascending; each length's first code
+// follows the previous length's last, shifted left one bit.
+func (c *Codec) assign() {
+	var perLen [MaxCodeLen + 1]int
+	c.minLen, c.maxLen = MaxCodeLen, 0
+	for _, l := range c.lens {
+		perLen[l]++
+		c.minLen = min(c.minLen, l)
+		c.maxLen = max(c.maxLen, l)
 	}
-	present := make([]ls, 0, c.count)
-	c.count = 0
-	for sym, l := range c.lengths {
-		if l > 0 {
-			present = append(present, ls{sym, l})
-			c.count++
-		}
+	code, rank := uint64(0), 0
+	for l := uint8(1); l <= c.maxLen; l++ {
+		c.firstCode[l] = code
+		c.firstIndex[l] = rank
+		code = (code + uint64(perLen[l])) << 1
+		rank += perLen[l]
 	}
-	sort.Slice(present, func(i, j int) bool {
-		if present[i].l != present[j].l {
-			return present[i].l < present[j].l
-		}
-		return present[i].sym < present[j].sym
-	})
-	c.symByOrder = make([]uint32, len(present))
-	if len(present) == 0 {
-		return
-	}
-	c.minLen = present[0].l
-	c.maxLen = present[len(present)-1].l
-	code := uint64(0)
-	prevLen := present[0].l
-	for l := uint8(0); l <= prevLen; l++ {
-		c.firstIndex[l] = 0
-	}
-	c.firstCode[prevLen] = 0
-	for i, p := range present {
-		if p.l != prevLen {
-			for l := prevLen + 1; l <= p.l; l++ {
-				code <<= 1
-				c.firstCode[l] = code
-				c.firstIndex[l] = i
-			}
-			prevLen = p.l
-		}
-		c.codes[p.sym] = code
+	c.firstIndex[c.maxLen+1] = rank
+	c.symByOrder = make([]uint32, len(c.syms))
+	c.codes = make([]uint64, len(c.syms))
+	next := c.firstIndex
+	for i, sym := range c.syms {
+		l := c.lens[i]
+		r := next[l]
+		next[l]++
 		//lint:allow intnarrow sym < alphabet <= 1<<24 (ParseTable/Build bound)
-		c.symByOrder[i] = uint32(p.sym)
-		code++
+		c.symByOrder[r] = uint32(sym)
+		c.codes[i] = c.firstCode[l] + uint64(r-c.firstIndex[l])
 	}
+}
 
-	// Fast-path table for short codes.
-	c.lutBits = uint(c.maxLen)
-	if c.lutBits > lutMaxBits {
-		c.lutBits = lutMaxBits
-	}
+// buildLUT fills the fast-path table for the codes of up to lutBits bits.
+func (c *Codec) buildLUT() {
+	c.lutBits = uint(min(c.maxLen, lutMaxBits))
 	c.lut = make([]uint32, 1<<c.lutBits)
-	for _, p := range present {
-		if uint(p.l) > c.lutBits {
-			break // present is sorted by length
-		}
-		//lint:allow intnarrow sym < alphabet <= 1<<24 (ParseTable/Build bound)
-		entry := uint32(p.sym)<<6 | (uint32(p.l) + 1)
-		base := c.codes[p.sym] << (c.lutBits - uint(p.l))
-		span := uint64(1) << (c.lutBits - uint(p.l))
-		for off := uint64(0); off < span; off++ {
-			c.lut[base+off] = entry
+	for l := c.minLen; uint(l) <= c.lutBits; l++ {
+		span := uint64(1) << (c.lutBits - uint(l))
+		for r := c.firstIndex[l]; r < c.firstIndex[l+1]; r++ {
+			entry := c.symByOrder[r]<<6 | (uint32(l) + 1)
+			base := (c.firstCode[l] + uint64(r-c.firstIndex[l])) * span
+			for off := uint64(0); off < span; off++ {
+				c.lut[base+off] = entry
+			}
 		}
 	}
 }
 
+// index returns the position of symbol among the present symbols.
+func (c *Codec) index(symbol int) (int, bool) {
+	return slices.BinarySearch(c.syms, symbol)
+}
+
 // Encode appends the code for symbol to w.
 func (c *Codec) Encode(w *bitio.Writer, symbol int) error {
-	if symbol < 0 || symbol >= c.alphabet || c.lengths[symbol] == 0 {
+	i, ok := c.index(symbol)
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrBadSymbol, symbol)
 	}
-	w.WriteBits(c.codes[symbol], uint(c.lengths[symbol]))
+	w.WriteBits(c.codes[i], uint(c.lens[i]))
 	return nil
 }
 
@@ -281,12 +326,7 @@ func (c *Codec) Decode(r *bitio.Reader) (int, error) {
 	}
 	l := c.minLen
 	for {
-		var count int
-		if l < c.maxLen {
-			count = c.firstIndex[l+1] - c.firstIndex[l]
-		} else {
-			count = len(c.symByOrder) - c.firstIndex[l]
-		}
+		count := c.firstIndex[l+1] - c.firstIndex[l]
 		if count > 0 && code >= c.firstCode[l] && code-c.firstCode[l] < uint64(count) {
 			//lint:allow intnarrow guarded: code-firstCode[l] < count <= alphabet <= 1<<24
 			return int(c.symByOrder[c.firstIndex[l]+int(code-c.firstCode[l])]), nil
@@ -305,10 +345,10 @@ func (c *Codec) Decode(r *bitio.Reader) (int, error) {
 
 // Length returns the code length for symbol (0 if absent).
 func (c *Codec) Length(symbol int) int {
-	if symbol < 0 || symbol >= c.alphabet {
-		return 0
+	if i, ok := c.index(symbol); ok {
+		return int(c.lens[i])
 	}
-	return int(c.lengths[symbol])
+	return 0
 }
 
 // Alphabet returns the alphabet size the codec was built for.
@@ -320,14 +360,11 @@ func (c *Codec) Alphabet() int { return c.alphabet }
 // length packed two-per-... (kept simple: one byte per length).
 func (c *Codec) AppendTable(dst []byte) []byte {
 	dst = bitio.AppendUvarint(dst, uint64(c.alphabet))
-	dst = bitio.AppendUvarint(dst, uint64(c.count))
+	dst = bitio.AppendUvarint(dst, uint64(len(c.syms)))
 	prev := -1
-	for sym, l := range c.lengths {
-		if l == 0 {
-			continue
-		}
+	for i, sym := range c.syms {
 		dst = bitio.AppendUvarint(dst, uint64(sym-prev))
-		dst = append(dst, byte(l))
+		dst = append(dst, c.lens[i])
 		prev = sym
 	}
 	return dst
@@ -342,18 +379,24 @@ func ParseTable(data []byte) (*Codec, int, error) {
 	}
 	off := n
 	cnt, n := bitio.Uvarint(data[off:])
-	if n == 0 || cnt == 0 || cnt > alpha {
+	// Each (delta, length) pair takes at least two bytes, so the pair
+	// count is checked against the bytes left before anything is sized
+	// by it.
+	if n == 0 || cnt == 0 || cnt > alpha || cnt > uint64(len(data)-off-n)/2 {
 		return nil, 0, ErrInvalidTable
 	}
 	off += n
 	c := &Codec{
 		//lint:allow intnarrow guarded above: alpha <= 1<<24
 		alphabet: int(alpha),
-		lengths:  make([]uint8, alpha),
-		codes:    make([]uint64, alpha),
+		syms:     make([]int, cnt),
+		lens:     make([]uint8, cnt),
 	}
+	// Kraft sum in units of 2^-MaxCodeLen. Each term is at most 2^57 and
+	// the sum is checked after every term, so it cannot wrap.
+	var kraft uint64
 	prev := -1
-	for i := uint64(0); i < cnt; i++ {
+	for i := range c.syms {
 		d, n := bitio.Uvarint(data[off:])
 		if n == 0 || d == 0 {
 			return nil, 0, ErrInvalidTable
@@ -361,8 +404,7 @@ func ParseTable(data []byte) (*Codec, int, error) {
 		off += n
 		if d > alpha {
 			// A delta beyond the alphabet size cannot be valid, and an
-			// unchecked int(d) of a near-2^64 delta would wrap negative
-			// and index lengths[] out of range below.
+			// unchecked int(d) of a near-2^64 delta would wrap negative.
 			return nil, 0, ErrInvalidTable
 		}
 		//lint:allow intnarrow guarded above: d <= alpha <= 1<<24
@@ -378,49 +420,96 @@ func ParseTable(data []byte) (*Codec, int, error) {
 		if l == 0 || l > MaxCodeLen {
 			return nil, 0, ErrInvalidTable
 		}
-		c.lengths[sym] = l
+		// Validate the Kraft inequality to reject corrupt tables that
+		// would make Decode loop or misbehave.
+		if kraft += uint64(1) << (MaxCodeLen - l); kraft > 1<<MaxCodeLen {
+			return nil, 0, ErrInvalidTable
+		}
+		c.syms[i], c.lens[i] = sym, l
 		prev = sym
 	}
-	// Validate Kraft inequality to reject corrupt tables that would make
-	// Decode loop or misbehave.
-	var kraft uint64
-	for _, l := range c.lengths {
-		if l > 0 {
-			kraft += uint64(1) << (MaxCodeLen - l)
-		}
-	}
-	if kraft > 1<<MaxCodeLen {
-		return nil, 0, ErrInvalidTable
-	}
-	c.finish()
+	c.assign()
+	c.buildLUT()
 	return c, off, nil
+}
+
+// symIndex pages hold 256 symbols each.
+const (
+	pageBits = 8
+	pageSize = 1 << pageBits
+)
+
+var zeroPage [pageSize]int
+
+// symIndex maps the symbols of one stream to per-symbol counters without
+// an alphabet-sized table: a directory with one entry per 256-symbol page
+// of the alphabet, and 256 counters for each page a symbol falls in. SZ
+// codes sit in two clusters, the unpredictable code 0 and a band around
+// the quantization radius, so a chunk touches two or three pages of a
+// 65,537-symbol alphabet where a min..max span would cover half of it.
+type symIndex struct {
+	dir  []int // page -> 1 + offset of its counters in slot; 0 = no page
+	slot []int
+}
+
+// at returns symbol s's counter, adding its page on first use.
+func (x *symIndex) at(s int) *int {
+	p := s >> pageBits
+	if x.dir[p] == 0 {
+		x.dir[p] = len(x.slot) + 1
+		x.slot = append(x.slot, zeroPage[:]...)
+	}
+	return &x.slot[x.dir[p]-1+s&(pageSize-1)]
 }
 
 // EncodeAll is a convenience that Huffman-encodes all symbols into a fresh
 // writer and returns (table || bit padding-aligned payload) with a uvarint
 // payload-bit-count between them.
 func EncodeAll(symbols []int, alphabet int) ([]byte, error) {
-	freqs := make([]uint64, alphabet)
+	x := symIndex{dir: make([]int, (max(alphabet, 0)+pageSize-1)>>pageBits)}
+	k := 0
 	for _, s := range symbols {
 		if s < 0 || s >= alphabet {
 			return nil, fmt.Errorf("huffman: symbol %d out of range %d", s, alphabet)
 		}
-		freqs[s]++
+		f := x.at(s)
+		if *f == 0 {
+			k++
+		}
+		*f++
 	}
-	c, err := Build(freqs)
+	// Collect the present symbols in ascending order with their counts,
+	// and turn each counter into the symbol's position among them.
+	syms := make([]int, 0, k)
+	freqs := make([]uint64, 0, k)
+	for p, base := range x.dir {
+		if base == 0 {
+			continue
+		}
+		page := x.slot[base-1 : base-1+pageSize]
+		for j, f := range page {
+			if f > 0 {
+				page[j] = len(syms)
+				syms = append(syms, p<<pageBits+j)
+				freqs = append(freqs, uint64(f))
+			}
+		}
+	}
+	c, err := build(alphabet, syms, freqs)
 	if err != nil {
 		return nil, err
 	}
 	w := bitio.NewWriter(len(symbols) / 2)
 	for _, s := range symbols {
-		if err := c.Encode(w, s); err != nil {
-			return nil, err
-		}
+		i := *x.at(s)
+		w.WriteBits(c.codes[i], uint(c.lens[i]))
 	}
-	out := c.AppendTable(nil)
+	payload := w.Bytes()
+	// Capacity for the table header and the count, one (delta, length)
+	// pair of up to 6 bytes per present symbol, and the payload.
+	out := c.AppendTable(make([]byte, 0, 3*binary.MaxVarintLen64+6*len(syms)+len(payload)))
 	out = bitio.AppendUvarint(out, uint64(len(symbols)))
-	out = append(out, w.Bytes()...)
-	return out, nil
+	return append(out, payload...), nil
 }
 
 // DecodeAll inverts EncodeAll, returning the symbols and bytes consumed.

@@ -20,16 +20,14 @@
 package sz
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
 	"repro/internal/bitio"
+	"repro/internal/flatepool"
 	"repro/internal/floatbits"
 	"repro/internal/grid"
 	"repro/internal/huffman"
@@ -455,19 +453,12 @@ func assemble(mode int, dims []int, bound float64, opt Options, payload []byte, 
 	switch opt.Lossless {
 	case LosslessOff:
 	default:
-		var zbuf bytes.Buffer
-		zw, err := flate.NewWriter(&zbuf, flate.BestSpeed)
+		z, err := flatepool.Deflate(body)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := zw.Write(body); err != nil {
-			return nil, err
-		}
-		if err := zw.Close(); err != nil {
-			return nil, err
-		}
-		if opt.Lossless == LosslessOn || zbuf.Len() < len(body)*97/100 {
-			body = zbuf.Bytes()
+		if opt.Lossless == LosslessOn || len(z) < len(body)*97/100 {
+			body = z
 			flags |= flagFlate
 		}
 	}
@@ -555,19 +546,36 @@ func parseHeader(buf []byte) (mode int, dims []int, bound float64, intervals, bl
 	off += k
 	body = buf[off : off+int(blen)]
 	if flags&flagFlate != 0 {
-		zr := flate.NewReader(bytes.NewReader(body))
-		dec, err2 := io.ReadAll(io.LimitReader(zr, 1<<34))
+		dec, err2 := flatepool.Inflate(body, maxBodyLen(mode, grid.Size(dims), intervals))
 		if err2 != nil {
 			err = fmt.Errorf("%w: %v", ErrCorrupt, err2)
 			return
 		}
-		_ = zr.Close() // nothing to report: body was fully read above
 		body = dec
 	}
 	if !(bound > 0) || math.IsNaN(bound) || math.IsInf(bound, 0) {
 		err = ErrCorrupt
 	}
 	return
+}
+
+// maxBodyLen bounds the stage-III body that CompressAbs or CompressPWR
+// writes for n values with the given quantization intervals, so the
+// lossless stage can refuse to inflate past it. Per value the body holds
+// at most one Huffman table entry (a symbol delta below the alphabet size
+// 2*(intervals/2)+1 and a length byte), one code of at most MaxCodeLen
+// bits, and one verbatim value of at most 9 bytes; PWR mode adds one
+// block exponent of at most 4 bytes per block, and there are at most n
+// blocks. Eight uvarint headers complete it.
+func maxBodyLen(mode, n, intervals int) int {
+	var tmp [binary.MaxVarintLen64]byte
+	perValue := binary.PutUvarint(tmp[:], uint64(intervals)+1) + 1 + (huffman.MaxCodeLen+7)/8 + 9
+	if mode == modePWR {
+		perValue += 4
+	}
+	// Beyond 2^40 values the field could not be decoded in memory anyway;
+	// the cap keeps the product from overflowing.
+	return min(n, 1<<40)*perValue + 8*binary.MaxVarintLen64
 }
 
 func decompressAbs(dims []int, n int, bound float64, intervals int, body []byte) ([]float64, []int, error) {

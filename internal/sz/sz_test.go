@@ -1,12 +1,16 @@
 package sz
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitio"
 	"repro/internal/grid"
+	"repro/internal/testutil"
 )
 
 // smooth3D generates a smooth 3D field plus mild noise, the easy case for
@@ -554,4 +558,89 @@ func TestPWRRoundTrip4D(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRelBound(t, data, dec, 0.01, true)
+}
+
+// bombStream returns an abs-mode stream declaring dims whose stage-III
+// body is a DEFLATE stream that inflates to mib MiB of zeros.
+func bombStream(t *testing.T, dims []int, mib int) []byte {
+	body := testutil.DeflateZeros(t, mib)
+	buf := binary.BigEndian.AppendUint32(nil, magic)
+	buf = append(buf, modeAbs)
+	buf = bitio.AppendUvarint(buf, uint64(len(dims)))
+	for _, d := range dims {
+		buf = bitio.AppendUvarint(buf, uint64(d))
+	}
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(0.01))
+	buf = bitio.AppendUvarint(buf, 65536)
+	buf = bitio.AppendUvarint(buf, 8)
+	buf = append(buf, flagFlate)
+	buf = bitio.AppendUvarint(buf, uint64(len(body)))
+	return append(buf, body...)
+}
+
+// TestDecompressInflateBomb: a 64 KiB stream declaring 4 values whose
+// lossless stage inflates to 64 MiB is refused as corrupt once the
+// inflated body outgrows what 4 values can need, without allocating
+// the 64 MiB.
+func TestDecompressInflateBomb(t *testing.T) {
+	buf := bombStream(t, []int{4}, 64)
+	var err error
+	got := testutil.AllocBytes(func() { _, _, err = Decompress(buf) })
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if got >= 16<<20 {
+		t.Fatalf("decoding a %d-byte bomb allocated %d B, want < 16 MiB", len(buf), got)
+	}
+}
+
+// TestMaxBodyLenAdmitsWorstCase checks the inflate limit against the
+// largest bodies the encoder writes: every value unpredictable and
+// stored at full width, every value its own quantization code, and (in
+// PWR mode) one all-zero block per value.
+func TestMaxBodyLenAdmitsWorstCase(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for _, n := range []int{1, 2, 7, 100, 3000} {
+		wild := make([]float64, n)     // unpredictable, full 8-byte mantissas
+		distinct := make([]float64, n) // one code per value
+		zeros := make([]float64, n)
+		for i := range wild {
+			wild[i] = math.Ldexp(1+rng.Float64(), rng.Intn(2000)-1000)
+			distinct[i] = float64(rng.Intn(60000)-30000) * 0.02
+		}
+		mixed := append(append([]float64(nil), wild[:n/2]...), zeros[n/2:]...)
+		for _, c := range []struct {
+			name      string
+			data      []float64
+			pwr       bool
+			bound     float64
+			intervals int
+		}{
+			{"abs/wild", wild, false, 1e-300, 65536},
+			{"abs/distinct", distinct, false, 0.01, 65536},
+			{"abs/distinct/2^24", distinct, false, 0.01, 1 << 24},
+			{"pwr/wild", wild, true, 1e-6, 65536},
+			{"pwr/zeros", zeros, true, 1e-6, 65536},
+			{"pwr/mixed", mixed, true, 1e-6, 1 << 24},
+		} {
+			opts := &Options{Intervals: c.intervals, BlockSide: 1, Lossless: LosslessOff}
+			var buf []byte
+			var err error
+			if c.pwr {
+				buf, err = CompressPWR(c.data, []int{n}, c.bound, opts)
+			} else {
+				buf, err = CompressAbs(c.data, []int{n}, c.bound, opts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			mode, _, _, intervals, _, body, err := parseHeader(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if limit := maxBodyLen(mode, n, intervals); len(body) > limit {
+				t.Errorf("%s n=%d: body %d B exceeds the inflate limit %d", c.name, n, len(body), limit)
+			}
+		}
+	}
 }

@@ -97,9 +97,10 @@ func decompressParallel(ctx context.Context, buf []byte, limits *DecodeLimits) (
 		return nil, nil, fmt.Errorf("%w: chunk lengths overrun the container", ErrTruncated)
 	}
 
-	n := grid.Size(dims)
-	out := make([]float64, n)
-	rowStride := n / dims[0]
+	// The output grows with the chunks as they decode, in field order,
+	// rather than being sized from the header: a 12-byte container can
+	// declare terabytes, and only decoded chunks prove the geometry.
+	var out []float64
 	starts := chunkStarts(dims[0], chunks)
 
 	c := 0
@@ -122,7 +123,7 @@ func decompressParallel(ctx context.Context, buf []byte, limits *DecodeLimits) (
 			return nil
 		},
 		func(jb *decodeJob) error {
-			copy(out[starts[jb.seq]*rowStride:], jb.dec)
+			out = append(out, jb.dec...)
 			return nil
 		})
 	if err != nil {
