@@ -1,9 +1,11 @@
 package repro
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"sort"
 
 	"repro/internal/bitio"
@@ -100,95 +102,69 @@ func OpenArchiveLimits(buf []byte, limits *DecodeLimits) (_ *ArchiveReader, err 
 	}
 }
 
-// readDirCount parses and sanity-bounds the directory count at buf[off:].
-// minEntry is the smallest possible encoded directory entry, so a count
-// beyond (remaining bytes)/minEntry is structurally impossible and is
-// rejected before the count sizes any allocation.
-func readDirCount(buf []byte, off, minEntry int, limits *DecodeLimits) (int, int, error) {
-	count, k := bitio.Uvarint(buf[off:])
-	if k == 0 || count > maxArchiveFields {
-		return 0, 0, fmt.Errorf("%w: archive field count", ErrCorrupt)
-	}
-	off += k
-	if count > uint64(len(buf)-off)/uint64(minEntry) {
-		return 0, 0, fmt.Errorf("%w: %d fields declared in %d bytes", ErrCorrupt, count, len(buf)-off)
-	}
-	if err := limits.checkFields(int(count)); err != nil {
-		return 0, 0, err
-	}
-	return int(count), off, nil
-}
-
 func openArchiveV1(buf []byte, limits *DecodeLimits) (*ArchiveReader, error) {
-	count, off, err := readDirCount(buf, 1, 3, limits)
+	entries, off, err := parseDir(buf, 1, false, uint64(len(buf)), limits)
 	if err != nil {
 		return nil, err
-	}
-	r := &ArchiveReader{byName: make(map[string][]byte, count), limits: limits}
-	lengths := make([]int, count)
-	var total uint64
-	for i := 0; i < count; i++ {
-		nlen, k := bitio.Uvarint(buf[off:])
-		if k == 0 || nlen == 0 || nlen > maxFieldName || nlen > uint64(len(buf)-off-k) {
-			return nil, fmt.Errorf("%w: archive entry %d name", ErrCorrupt, i)
-		}
-		off += k
-		name := string(buf[off : off+int(nlen)])
-		off += int(nlen)
-		blen, k := bitio.Uvarint(buf[off:])
-		if k == 0 || blen > uint64(len(buf)) {
-			return nil, fmt.Errorf("%w: archive entry %d length", ErrCorrupt, i)
-		}
-		if err := limits.checkChunkBytes(int64(blen)); err != nil {
-			return nil, err
-		}
-		off += k
-		if _, dup := r.byName[name]; dup {
-			return nil, fmt.Errorf("%w: duplicate field %q", ErrCorrupt, name)
-		}
-		r.names = append(r.names, name)
-		r.byName[name] = nil
-		lengths[i] = int(blen)
-		total += blen
 	}
 	if off+4 > len(buf) {
 		return nil, fmt.Errorf("%w (archive checksum)", ErrTruncated)
 	}
 	wantCRC := binary.BigEndian.Uint32(buf[off:])
 	off += 4
+	var total uint64
+	if n := len(entries); n > 0 {
+		total = entries[n-1].off + entries[n-1].len
+	}
 	if total > uint64(len(buf)-off) {
 		return nil, fmt.Errorf("%w: blobs overrun the archive", ErrTruncated)
 	}
-	start := off
-	for i := 0; i < count; i++ {
-		blob := buf[off : off+lengths[i]]
-		r.blobs = append(r.blobs, blob)
-		r.byName[r.names[i]] = blob
-		off += lengths[i]
-	}
-	if crc32.ChecksumIEEE(buf[start:off]) != wantCRC {
+	area := buf[off : off+int(total)]
+	if crc32.ChecksumIEEE(area) != wantCRC {
 		return nil, fmt.Errorf("%w: archive checksum mismatch", ErrCorrupt)
 	}
-	return r, nil
+	return newArchiveReader(entries, area, limits), nil
 }
 
-// dirEntry is one parsed v2/v3 directory entry: a field name plus its
-// blob extent, offset relative to the blob-area start.
+// dirEntry is one parsed directory entry: a field name plus its blob
+// extent, offset relative to the blob-area start.
 type dirEntry struct {
 	name     string
 	off, len uint64
 }
 
-// parseDirEntries parses count explicit-offset entries (the shared
-// v2/v3 entry grammar) at buf[off:], enforcing name bounds, uniqueness,
-// and MaxChunkBytes per blob. extentCap is the largest plausible blob
-// offset or length — the container size — rejecting absurd values
-// before validateExtents proves the precise geometry. It returns the
-// entries and the offset just past the directory.
-func parseDirEntries(buf []byte, off, count int, extentCap uint64, limits *DecodeLimits) ([]dirEntry, int, error) {
+// parseDir is the one decoder of the directory grammar of every archive
+// version: uvarint(count) then count entries at buf[off:], enforcing the
+// count bounds, name bounds, uniqueness, and MaxChunkBytes per blob. A
+// v2/v3 entry records its blob offset explicitly; a v1 entry (explicit
+// false) does not, and its blob follows the previous one. extentCap is
+// the largest plausible blob offset or length — the container size —
+// rejecting absurd values before validateExtents proves the precise
+// geometry. It returns the entries and the offset just past the
+// directory.
+func parseDir(buf []byte, off int, explicit bool, extentCap uint64, limits *DecodeLimits) ([]dirEntry, int, error) {
+	count, k := bitio.Uvarint(buf[off:])
+	if k == 0 || count > maxArchiveFields {
+		return nil, 0, fmt.Errorf("%w: archive field count", ErrCorrupt)
+	}
+	off += k
+	// The smallest entry is a one-byte name length, a one-byte name and
+	// one-byte varints, so a count beyond (remaining bytes)/minEntry is
+	// structurally impossible and is rejected before it sizes anything.
+	minEntry := uint64(3)
+	if explicit {
+		minEntry = 4
+	}
+	if count > uint64(len(buf)-off)/minEntry {
+		return nil, 0, fmt.Errorf("%w: %d fields declared in %d bytes", ErrCorrupt, count, len(buf)-off)
+	}
+	if err := limits.checkFields(int(count)); err != nil {
+		return nil, 0, err
+	}
 	entries := make([]dirEntry, count)
 	seen := make(map[string]bool, count)
-	for i := 0; i < count; i++ {
+	var next uint64 // the implicit v1 offset
+	for i := range entries {
 		nlen, k := bitio.Uvarint(buf[off:])
 		if k == 0 || nlen == 0 || nlen > maxFieldName || nlen > uint64(len(buf)-off-k) {
 			return nil, 0, fmt.Errorf("%w: archive entry %d name", ErrCorrupt, i)
@@ -196,11 +172,13 @@ func parseDirEntries(buf []byte, off, count int, extentCap uint64, limits *Decod
 		off += k
 		name := string(buf[off : off+int(nlen)])
 		off += int(nlen)
-		boff, k := bitio.Uvarint(buf[off:])
-		if k == 0 || boff > extentCap {
-			return nil, 0, fmt.Errorf("%w: archive entry %d offset", ErrCorrupt, i)
+		boff := next
+		if explicit {
+			if boff, k = bitio.Uvarint(buf[off:]); k == 0 || boff > extentCap {
+				return nil, 0, fmt.Errorf("%w: archive entry %d offset", ErrCorrupt, i)
+			}
+			off += k
 		}
-		off += k
 		blen, k := bitio.Uvarint(buf[off:])
 		if k == 0 || blen > extentCap {
 			return nil, 0, fmt.Errorf("%w: archive entry %d length", ErrCorrupt, i)
@@ -214,6 +192,7 @@ func parseDirEntries(buf []byte, off, count int, extentCap uint64, limits *Decod
 		}
 		seen[name] = true
 		entries[i] = dirEntry{name: name, off: boff, len: blen}
+		next = boff + blen
 	}
 	return entries, off, nil
 }
@@ -254,11 +233,7 @@ func newArchiveReader(entries []dirEntry, area []byte, limits *DecodeLimits) *Ar
 }
 
 func openArchiveV2(buf []byte, limits *DecodeLimits) (*ArchiveReader, error) {
-	count, off, err := readDirCount(buf, 2, 4, limits)
-	if err != nil {
-		return nil, err
-	}
-	entries, off, err := parseDirEntries(buf, off, count, uint64(len(buf)), limits)
+	entries, off, err := parseDir(buf, 2, true, uint64(len(buf)), limits)
 	if err != nil {
 		return nil, err
 	}
@@ -284,55 +259,79 @@ func openArchiveV2(buf []byte, limits *DecodeLimits) (*ArchiveReader, error) {
 // verifies the directory CRC only and leans on the per-chunk CRCs of
 // the stream containers inside.
 func openArchiveV3(buf []byte, limits *DecodeLimits) (*ArchiveReader, error) {
-	entries, area, err := parseArchiveV3(buf, limits, true)
+	entries, areaLen, blobCRC, err := readArchiveV3Dir(bytes.NewReader(buf), int64(len(buf)), limits)
 	if err != nil {
 		return nil, err
+	}
+	area := buf[2 : 2+areaLen]
+	if crc32.ChecksumIEEE(area) != blobCRC {
+		return nil, fmt.Errorf("%w: archive checksum mismatch", ErrCorrupt)
 	}
 	return newArchiveReader(entries, area, limits), nil
 }
 
-// parseArchiveV3 locates and verifies a v3 trailer + directory in buf
-// (magic and version already checked), returning the parsed entries and
-// the blob area. checkBlobCRC selects the whole-area checksum pass.
-func parseArchiveV3(buf []byte, limits *DecodeLimits, checkBlobCRC bool) ([]dirEntry, []byte, error) {
+// readArchiveV3Dir is the one decoder of the v3 trailer and directory,
+// behind both OpenArchive and OpenArchiveStream. src holds a size-byte
+// container whose magic and version are already checked, and only its
+// trailer and directory are read: the directory length must fit the
+// container, the directory must pass its CRC and the shared entry
+// grammar with nothing left over, and every extent must lie inside the
+// blob area without overlap. It returns the entries (offsets relative
+// to the blob area), the blob-area length, and the blob-area CRC the
+// trailer records, which only a caller holding the whole area checks.
+func readArchiveV3Dir(src io.ReadSeeker, size int64, limits *DecodeLimits) (_ []dirEntry, areaLen int64, blobCRC uint32, err error) {
 	// Smallest valid container: magic, version, empty directory (one
 	// count byte), trailer.
-	if len(buf) < 2+1+archiveV3TrailerLen {
-		return nil, nil, fmt.Errorf("%w: %d-byte archive", ErrTruncated, len(buf))
+	if size < 2+1+archiveV3TrailerLen {
+		return nil, 0, 0, fmt.Errorf("%w: %d-byte archive", ErrTruncated, size)
 	}
-	trailer := buf[len(buf)-archiveV3TrailerLen:]
+	var trailer [archiveV3TrailerLen]byte
+	if err := readArchiveAt(src, size-archiveV3TrailerLen, trailer[:], "trailer"); err != nil {
+		return nil, 0, 0, err
+	}
 	dirCRC := binary.BigEndian.Uint32(trailer[0:])
-	blobCRC := binary.BigEndian.Uint32(trailer[4:])
+	blobCRC = binary.BigEndian.Uint32(trailer[4:])
 	dirLen := binary.BigEndian.Uint64(trailer[8:])
-	if dirLen < 1 || dirLen > uint64(len(buf)-2-archiveV3TrailerLen) {
-		return nil, nil, fmt.Errorf("%w: archive directory of %d bytes in a %d-byte container",
-			ErrCorrupt, dirLen, len(buf))
+	if dirLen < 1 || dirLen > uint64(size-2-archiveV3TrailerLen) {
+		return nil, 0, 0, fmt.Errorf("%w: archive directory of %d bytes in a %d-byte container",
+			ErrCorrupt, dirLen, size)
 	}
-	dirOff := len(buf) - archiveV3TrailerLen - int(dirLen)
-	dir := buf[dirOff : len(buf)-archiveV3TrailerLen]
+	dirOff := size - archiveV3TrailerLen - int64(dirLen)
+	// The allocation is bounded by the container's real size, proven by
+	// the dirLen check above — the same discipline as the stream index
+	// window.
+	dir := make([]byte, dirLen)
+	if err := readArchiveAt(src, dirOff, dir, "directory"); err != nil {
+		return nil, 0, 0, err
+	}
 	if crc32.ChecksumIEEE(dir) != dirCRC {
-		return nil, nil, fmt.Errorf("%w: archive directory checksum mismatch", ErrCorrupt)
+		return nil, 0, 0, fmt.Errorf("%w: archive directory checksum mismatch", ErrCorrupt)
 	}
-	count, off, err := readDirCount(dir, 0, 4, limits)
+	entries, off, err := parseDir(dir, 0, true, uint64(size), limits)
 	if err != nil {
-		return nil, nil, err
-	}
-	entries, off, err := parseDirEntries(dir, off, count, uint64(len(buf)), limits)
-	if err != nil {
-		return nil, nil, err
+		return nil, 0, 0, err
 	}
 	if off != len(dir) {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes in the %d-entry archive directory",
-			ErrCorrupt, len(dir)-off, count)
+		return nil, 0, 0, fmt.Errorf("%w: %d trailing bytes in the %d-entry archive directory",
+			ErrCorrupt, len(dir)-off, len(entries))
 	}
-	area := buf[2:dirOff]
-	if err := validateExtents(entries, uint64(len(area))); err != nil {
-		return nil, nil, err
+	areaLen = dirOff - 2
+	if err := validateExtents(entries, uint64(areaLen)); err != nil {
+		return nil, 0, 0, err
 	}
-	if checkBlobCRC && crc32.ChecksumIEEE(area) != blobCRC {
-		return nil, nil, fmt.Errorf("%w: archive checksum mismatch", ErrCorrupt)
+	return entries, areaLen, blobCRC, nil
+}
+
+// readArchiveAt fills p from src at offset off; what names the archive
+// part in errors.
+func readArchiveAt(src io.ReadSeeker, off int64, p []byte, what string) error {
+	if _, err := src.Seek(off, io.SeekStart); err != nil {
+		return fmt.Errorf("repro: seeking archive %s: %w", what, err)
 	}
-	return entries, area, nil
+	if _, err := io.ReadFull(src, p); err != nil {
+		return fmt.Errorf("repro: reading archive %s: %w", what, err)
+	}
+	return nil
 }
 
 // Fields returns the field names in archive order.

@@ -71,7 +71,7 @@ go -C _perfbench test -timeout 5m ./...
 if [[ "${FUZZTIME}" != "0" ]]; then
     step "fuzz smoke (${FUZZTIME} per target)"
     # Each entry is package:target (go test -fuzz takes one package).
-    for entry in .:FuzzDecompress .:FuzzDecompressParallel .:FuzzOpenArchive .:FuzzHeaderMutation .:FuzzCompressRoundTrip .:FuzzDecompressStream .:FuzzStreamRoundTrip .:FuzzStreamSalvage .:FuzzOpenStream .:FuzzReadRows .:FuzzOpenArchiveStream ./internal/huffman:FuzzHuffmanDecodeAll; do
+    for entry in .:FuzzDecompress .:FuzzDecompressParallel .:FuzzOpenArchive .:FuzzHeaderMutation .:FuzzCompressRoundTrip .:FuzzDecompressStream .:FuzzStreamRoundTrip .:FuzzStreamSalvage .:FuzzOpenStream .:FuzzReadRows .:FuzzOpenArchiveStream .:FuzzStreamReadersAgree ./internal/huffman:FuzzHuffmanDecodeAll; do
         pkg="${entry%%:*}"
         target="${entry#*:}"
         echo "-- ${pkg} ${target}"

@@ -5,6 +5,10 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -506,6 +510,102 @@ func FuzzStreamSalvage(f *testing.F) {
 			t.Fatalf("emitted %d bytes (stats %d), header geometry implies %d", out.Len(), rep.BytesOut, want)
 		}
 	})
+}
+
+// FuzzStreamReadersAgree is the differential target over the 0xC8
+// readers: whenever the in-memory decoder (DecompressAnyLimits) accepts
+// a stream container, the seekable reader must open it and serve the
+// full row range bit-identically, and salvage must find its index, lose
+// no chunk and emit identical bytes. The readers share one decoder per
+// grammar element, so any input one strict reader accepts and another
+// refuses is a bug.
+func FuzzStreamReadersAgree(f *testing.F) {
+	for _, target := range []string{"FuzzDecompressStream", "FuzzOpenStream", "FuzzStreamSalvage"} {
+		addFuzzCorpus(f, filepath.Join("testdata", "fuzz", target))
+	}
+	for _, stream := range [][]byte{fuzzStreamContainer(3), fuzzStreamContainer(2),
+		fuzzStreamContainerParity(1, 0), fuzzStreamContainerParity(1, 4), fuzzStreamContainerParity(3, 3)} {
+		if stream == nil {
+			continue
+		}
+		f.Add(stream)
+		f.Add(stream[:len(stream)/2])
+		f.Add(append(append([]byte(nil), stream...), 0xAB, 0xCD, 0xEF)) // trailing bytes
+		mid := append([]byte(nil), stream...)
+		mid[len(mid)/2] ^= 0x10
+		f.Add(mid)
+	}
+	for _, seed := range parityFuzzSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		if !IsStreamContainer(buf) {
+			return
+		}
+		lim := &DecodeLimits{MaxElements: 1 << 16, MaxChunkBytes: 1 << 20}
+		want, _, err := DecompressAnyLimits(buf, lim)
+		if err != nil {
+			return
+		}
+		h, err := OpenStream(bytes.NewReader(buf), WithLimits(lim))
+		if err != nil {
+			t.Fatalf("DecompressAny accepts the container but OpenStream rejects it: %v", err)
+		}
+		got := make([]float64, h.Rows()*uint64(h.RowStride()))
+		if err := h.ReadRows(got, 0, h.Rows()); err != nil {
+			t.Fatalf("DecompressAny accepts the container but full-range ReadRows fails: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("ReadRows returned %d values, DecompressAny %d", len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("value %d: ReadRows %x, DecompressAny %x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+		var out bytes.Buffer
+		rep, err := DecompressStreamSalvage(bytes.NewReader(buf), &out, lim)
+		if err != nil {
+			t.Fatalf("DecompressAny accepts the container but salvage fails: %v", err)
+		}
+		if !rep.IndexOK || rep.Lost() != 0 {
+			t.Fatalf("salvage of an accepted container: IndexOK=%v, lost chunks %v", rep.IndexOK, rep.LostChunks)
+		}
+		raw := out.Bytes()
+		if len(raw) != len(want)*8 {
+			t.Fatalf("salvage emitted %d bytes, DecompressAny %d values", len(raw), len(want))
+		}
+		for i := range want {
+			if binary.LittleEndian.Uint64(raw[i*8:]) != math.Float64bits(want[i]) {
+				t.Fatalf("value %d: salvage %x, DecompressAny %x", i, binary.LittleEndian.Uint64(raw[i*8:]), math.Float64bits(want[i]))
+			}
+		}
+	})
+}
+
+// addFuzzCorpus seeds f with every entry of a committed []byte fuzz
+// corpus directory ("go test fuzz v1" files holding one []byte value).
+func addFuzzCorpus(f *testing.F, dir string) {
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		f.Fatalf("reading corpus %s: %v", dir, err)
+	}
+	for _, e := range files {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+			!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+			f.Fatalf("corpus entry %s/%s is not a single []byte value", dir, e.Name())
+		}
+		v, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			f.Fatalf("corpus entry %s/%s: %v", dir, e.Name(), err)
+		}
+		f.Add([]byte(v))
+	}
 }
 
 // fuzzArchiveV3 builds a small two-field v3 streaming archive for seed

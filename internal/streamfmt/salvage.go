@@ -134,67 +134,107 @@ type indexBody struct {
 	crcs []uint32
 }
 
+// The index rejections are fixed values: findIndex tries parseIndexAt at
+// every candidate tag byte near the tail, and a rejection must cost no
+// allocation there.
+var (
+	errIndexShort    = fmt.Errorf("%w (index frame)", ErrTruncated)
+	errIndexVarint   = fmt.Errorf("%w: index varint overflows 64 bits", ErrCorrupt)
+	errIndexGeometry = fmt.Errorf("%w: index counts disagree with the header geometry", ErrCorrupt)
+	errIndexLength   = fmt.Errorf("%w: index frame length out of range", ErrCorrupt)
+	errIndexTrailing = fmt.Errorf("%w: bytes follow the index frame", ErrCorrupt)
+	errIndexCRC      = fmt.Errorf("%w: index checksum mismatch", ErrCorrupt)
+)
+
 // findIndex locates and verifies the sealing index frame near the tail:
-// a tagIndex byte whose body parses to exactly the header's chunk (and,
-// for parity containers, group) geometry, whose CRC verifies, and whose
-// frame ends exactly at the end of the buffer. The CRC makes a false
-// positive on payload bytes vanishingly unlikely. The returned start is
-// the tag byte's offset in buf (the seekable path checks it against the
-// offsets the lengths imply; the salvage path does not need it).
+// a tagIndex byte whose body parses (parseIndexAt) and ends exactly at
+// the end of the buffer. The CRC makes a false positive on payload bytes
+// vanishingly unlikely. The returned start is the tag byte's offset in
+// buf (the seekable path checks it against the offsets the lengths
+// imply; the salvage path does not need it).
 func findIndex(buf []byte, headerLen int64, hdr *Header) (*indexBody, int64, bool) {
 	// The smallest index frame is tag + count varint + CRC.
 	for start := int64(len(buf)) - 6; start >= headerLen; start-- {
 		if buf[start] != tagIndex {
 			continue
 		}
-		if ib, ok := parseIndexAt(buf[start+1:], hdr); ok {
+		if ib, err := parseIndexAt(buf[start+1:], hdr); err == nil {
 			return ib, start, true
 		}
 	}
 	return nil, 0, false
 }
 
-// parseIndexAt parses an index body + CRC that must consume body exactly.
-func parseIndexAt(body []byte, hdr *Header) (*indexBody, bool) {
+// indexVarint decodes the index varint at body[*off:] and advances *off.
+func indexVarint(body []byte, off *int) (uint64, error) {
+	v, k := binary.Uvarint(body[*off:])
+	if k == 0 {
+		return 0, errIndexShort
+	}
+	if k < 0 {
+		return 0, errIndexVarint
+	}
+	*off += k
+	return v, nil
+}
+
+// parseIndexAt is the one decoder of the index body: everything after
+// the tag byte through the CRC, which it must consume exactly. The
+// sequential Reader, OpenIndex and the salvage scan all call it. The
+// counts must match the header's chunk and group geometry, every parity
+// length its group's longest chunk, and the CRC the body; a body that
+// ends early is ErrTruncated.
+func parseIndexAt(body []byte, hdr *Header) (*indexBody, error) {
 	chunks := hdr.Chunks()
 	off := 0
-	count, k := binary.Uvarint(body)
+	count, err := indexVarint(body, &off)
+	if err != nil {
+		return nil, err
+	}
+	if count != uint64(chunks) {
+		return nil, errIndexGeometry
+	}
 	// Each length is at least one varint byte, so a count the remaining
 	// body cannot possibly hold is rejected before the lengths slice is
 	// allocated (a header declaring 2^40 chunks must not cost 8 TiB here).
-	if k <= 0 || count != uint64(chunks) || count > uint64(len(body)) {
-		return nil, false
+	if count > uint64(len(body)) {
+		return nil, errIndexShort
 	}
-	off += k
 	ib := &indexBody{lens: make([]uint64, chunks)}
 	for i := range ib.lens {
-		l, k := binary.Uvarint(body[off:])
-		if k <= 0 || l == 0 || l > MaxFrameLen {
-			return nil, false
+		l, err := indexVarint(body, &off)
+		if err != nil {
+			return nil, err
+		}
+		if l == 0 || l > MaxFrameLen {
+			return nil, errIndexLength
 		}
 		ib.lens[i] = l
-		off += k
 	}
 	if hdr.ParityK > 0 {
 		groups := hdr.Groups()
-		pc, k := binary.Uvarint(body[off:])
-		if k <= 0 || pc != uint64(groups) {
-			return nil, false
+		pc, err := indexVarint(body, &off)
+		if err != nil {
+			return nil, err
 		}
-		off += k
+		if pc != uint64(groups) {
+			return nil, errIndexGeometry
+		}
 		ib.plens = make([]uint64, groups)
 		for g := range ib.plens {
-			l, k := binary.Uvarint(body[off:])
+			l, err := indexVarint(body, &off)
+			if err != nil {
+				return nil, err
+			}
 			// A parity payload is exactly as long as the group's longest
 			// chunk payload; anything else is not this container's index.
-			if k <= 0 || l != groupParityLen(ib.lens, hdr, g) {
-				return nil, false
+			if l != groupParityLen(ib.lens, hdr, g) {
+				return nil, errIndexLength
 			}
 			ib.plens[g] = l
-			off += k
 		}
 		if len(body)-off < 4*chunks {
-			return nil, false
+			return nil, errIndexShort
 		}
 		ib.crcs = make([]uint32, chunks)
 		for i := range ib.crcs {
@@ -202,13 +242,15 @@ func parseIndexAt(body []byte, hdr *Header) (*indexBody, bool) {
 			off += 4
 		}
 	}
-	if len(body)-off != 4 {
-		return nil, false
+	switch {
+	case len(body)-off < 4:
+		return nil, errIndexShort
+	case len(body)-off > 4:
+		return nil, errIndexTrailing
+	case crc32.ChecksumIEEE(body[:off]) != binary.BigEndian.Uint32(body[off:]):
+		return nil, errIndexCRC
 	}
-	if crc32.ChecksumIEEE(body[:off]) != binary.BigEndian.Uint32(body[off:]) {
-		return nil, false
-	}
-	return ib, true
+	return ib, nil
 }
 
 // groupParityLen returns the parity payload length group g must have:
@@ -230,36 +272,24 @@ func frameLen(l uint64) int64 {
 	return int64(1+uvarintLen(l)+4) + int64(l)
 }
 
-// scanWithIndex verifies each frame at the offset the index implies,
-// walking the interleaved chunk/parity layout; a frame that disagrees
-// with the index in any way is damaged, but its successors keep their
-// known offsets.
+// scanWithIndex verifies each frame at the offset the index implies; a
+// frame that disagrees with the index in any way is damaged, but its
+// successors keep their known offsets.
 func scanWithIndex(buf []byte, rep *ScanReport, ib *indexBody, lim Limits) {
-	k := rep.Header.ParityK
-	off := rep.HeaderLen
-	g := 0
+	offs, poffs := rep.Header.frameOffsets(rep.HeaderLen, ib.lens, ib.plens)
 	for i := range rep.Frames {
-		f := &rep.Frames[i]
-		f.Offset = off
-		f.Len = ib.lens[i]
-		f.End = off + frameLen(ib.lens[i])
-		off = f.End
-		scanOneFrame(buf, rep, f, tagChunk, ib.lens[i], lim)
-		if k > 0 && (i%k == k-1 || i == len(rep.Frames)-1) {
-			p := &rep.Parity[g]
-			p.Offset = off
-			p.Len = ib.plens[g]
-			p.End = off + frameLen(ib.plens[g])
-			off = p.End
-			scanOneFrame(buf, rep, p, tagParity, ib.plens[g], lim)
-			g++
-		}
+		scanOneFrame(buf, rep, &rep.Frames[i], tagChunk, offs[i], ib.lens[i], lim)
+	}
+	for g := range rep.Parity {
+		scanOneFrame(buf, rep, &rep.Parity[g], tagParity, poffs[g], ib.plens[g], lim)
 	}
 }
 
-// scanOneFrame verifies one frame (chunk or parity) whose extent is
-// already recorded in f, filling Payload or Damaged/Reason.
-func scanOneFrame(buf []byte, rep *ScanReport, f *FrameInfo, tag byte, want uint64, lim Limits) {
+// scanOneFrame verifies one frame (chunk or parity) of want payload
+// bytes at off, recording its extent in f and filling Payload or
+// Damaged/Reason.
+func scanOneFrame(buf []byte, rep *ScanReport, f *FrameInfo, tag byte, off int64, want uint64, lim Limits) {
+	f.Offset, f.Len, f.End = off, want, off+frameLen(want)
 	if want > lim.chunkCap() {
 		f.Damaged = true
 		f.Reason = fmt.Sprintf("chunk of %d bytes exceeds limit %d", want, lim.chunkCap())
@@ -271,7 +301,7 @@ func scanOneFrame(buf []byte, rep *ScanReport, f *FrameInfo, tag byte, want uint
 		rep.Truncated = true
 		return
 	}
-	payload, reason := verifyTaggedFrame(buf[f.Offset:f.End], tag, want)
+	payload, reason := checkFrame(buf[f.Offset:f.End], tag, want)
 	if payload == nil {
 		f.Damaged = true
 		f.Reason = reason
@@ -280,46 +310,31 @@ func scanOneFrame(buf []byte, rep *ScanReport, f *FrameInfo, tag byte, want uint
 	f.Payload = payload
 }
 
-// repairGroups reconstructs single-loss parity groups in place: for each
-// group with exactly one damaged chunk, an intact parity frame, and all
-// sibling chunks intact, the lost payload is the XOR of parity and
-// siblings, truncated to the index length and proven against the chunk
-// CRC the sealed index recorded.
+// repairGroups reconstructs single-loss parity groups in place, under a
+// verified index: for each group with exactly one damaged chunk, an
+// intact parity frame, and all sibling chunks intact, reconstruct
+// rebuilds the lost payload.
 func repairGroups(rep *ScanReport) {
-	k := rep.Header.ParityK
-	if k == 0 || !rep.IndexOK {
-		return
-	}
 	for g := range rep.Parity {
 		pf := &rep.Parity[g]
 		if pf.Damaged || pf.Payload == nil {
 			continue
 		}
 		lo, hi := rep.Header.GroupRange(g)
-		victim := -1
-		multi := false
+		victim, lost := -1, 0
 		for i := lo; i < hi; i++ {
 			if rep.Frames[i].Damaged {
-				if victim >= 0 {
-					multi = true
-					break
-				}
-				victim = i
+				victim, lost = i, lost+1
 			}
 		}
-		if multi || victim < 0 {
+		if lost != 1 {
 			continue
 		}
-		acc := append([]byte(nil), pf.Payload...)
-		for i := lo; i < hi; i++ {
-			if i == victim {
-				continue
-			}
-			xorInto(acc, rep.Frames[i].Payload)
-		}
 		f := &rep.Frames[victim]
-		rec := acc[:f.Len]
-		if crc32.ChecksumIEEE(rec) != rep.ChunkCRCs[victim] {
+		// The parity payload aliases the caller's buffer: XOR into a copy.
+		rec, err := rep.Header.reconstruct(append([]byte(nil), pf.Payload...), victim, f.Len, rep.ChunkCRCs[victim],
+			func(i int) ([]byte, error) { return rep.Frames[i].Payload, nil })
+		if err != nil {
 			// Reconstruction does not prove out (e.g. the index region
 			// that survived its CRC is stale); the chunk stays lost.
 			continue
@@ -331,22 +346,38 @@ func repairGroups(rep *ScanReport) {
 	}
 }
 
-// xorInto folds src into acc; src is never longer than acc (parity
-// payloads span the group's longest chunk).
-func xorInto(acc, src []byte) {
-	for i, b := range src {
-		acc[i] ^= b
+// reconstruct is the one parity repair, shared by the salvage scan and
+// the seekable path (RepairChunk). acc holds a private copy of the
+// parity payload of chunk seq's group; every sibling payload, fetched
+// through sibling, is XORed into it, and the first n bytes are the lost
+// payload only if they match the chunk CRC the sealed index recorded.
+// Parity payloads span the group's longest chunk, so no sibling is
+// longer than acc.
+func (h *Header) reconstruct(acc []byte, seq int, n uint64, crc uint32, sibling func(i int) ([]byte, error)) ([]byte, error) {
+	lo, hi := h.GroupRange(seq / h.ParityK)
+	for i := lo; i < hi; i++ {
+		if i == seq {
+			continue
+		}
+		src, err := sibling(i)
+		if err != nil {
+			return nil, err
+		}
+		for j, b := range src {
+			acc[j] ^= b
+		}
 	}
+	rec := acc[:n]
+	if crc32.ChecksumIEEE(rec) != crc {
+		return nil, fmt.Errorf("%w: chunk %d: parity reconstruction failed its recorded CRC", ErrCorrupt, seq)
+	}
+	return rec, nil
 }
 
-// verifyFrame checks one complete chunk frame region against the
-// index's length for it, returning the payload or a rejection reason.
-func verifyFrame(frame []byte, want uint64) ([]byte, string) {
-	return verifyTaggedFrame(frame, tagChunk, want)
-}
-
-// verifyTaggedFrame is verifyFrame for an arbitrary expected tag.
-func verifyTaggedFrame(frame []byte, tag byte, want uint64) ([]byte, string) {
+// checkFrame is the one check of an in-memory frame region against the
+// tag and payload length the index expects, returning the payload or a
+// rejection reason.
+func checkFrame(frame []byte, tag byte, want uint64) ([]byte, string) {
 	if frame[0] != tag {
 		return nil, fmt.Sprintf("frame tag 0x%02x", frame[0])
 	}
@@ -375,7 +406,6 @@ func verifyTaggedFrame(frame []byte, tag byte, want uint64) ([]byte, string) {
 // repair is attempted on this path — without the index there is no
 // trusted chunk CRC to prove a reconstruction against.
 func scanForward(buf []byte, rep *ScanReport, lim Limits) {
-	pk := rep.Header.ParityK
 	off := rep.HeaderLen
 	g := 0
 	for i := range rep.Frames {
@@ -385,7 +415,7 @@ func scanForward(buf []byte, rep *ScanReport, lim Limits) {
 			return
 		}
 		off = next
-		if pk > 0 && (i%pk == pk-1 || i == len(rep.Frames)-1) && f.End != 0 {
+		if rep.Header.closesGroup(i) && f.End != 0 {
 			p := &rep.Parity[g]
 			ok, next := scanForwardFrame(buf, rep, p, tagParity, i+1, off, lim)
 			if !ok {
@@ -438,15 +468,10 @@ func scanForwardFrame(buf []byte, rep *ScanReport, f *FrameInfo, tag byte, restA
 		markRest(rep, restAt+1, "container ended")
 		return false, 0
 	}
-	crcOff := off + int64(1+k)
-	crc := binary.BigEndian.Uint32(buf[crcOff:])
-	payload := buf[crcOff+4 : f.End]
-	if crc32.ChecksumIEEE(payload) == crc {
-		if tag == tagChunk {
-			f.Payload = payload
-		}
-	} else {
-		f.Damaged, f.Reason = true, "checksum mismatch"
+	if payload, reason := checkFrame(buf[off:f.End], tag, plen); payload == nil {
+		f.Damaged, f.Reason = true, reason
+	} else if tag == tagChunk {
+		f.Payload = payload
 	}
 	return true, f.End
 }

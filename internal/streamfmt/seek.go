@@ -2,9 +2,7 @@ package streamfmt
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 )
 
@@ -93,48 +91,30 @@ func OpenIndex(rs io.ReadSeeker, lim Limits) (*StreamIndex, error) {
 	}
 	ix.Lens, ix.PLens, ix.CRCs, ix.IndexOff = ib.lens, ib.plens, ib.crcs, idxOff
 
-	// Rebuild the offset table — chunk frames interleaved with one
-	// parity frame per group on the v2 layout — and prove it tiles
-	// [HeaderLen, IndexOff) exactly; the index is not trusted until the
-	// arithmetic closes.
-	k := ix.Hdr.ParityK
-	ix.offsets = make([]int64, chunks+1)
-	if k > 0 {
-		ix.parityOffs = make([]int64, ix.Hdr.Groups())
-	}
-	off := ix.HeaderLen
-	g := 0
+	// Prove the lengths tile [HeaderLen, IndexOff) exactly before any
+	// offset is laid out from them; the index is not trusted until the
+	// arithmetic closes. A parity length equals its group's longest chunk
+	// (parseIndexAt), so the chunk limit covers it.
+	span := idxOff - ix.HeaderLen
 	for i, l := range ib.lens {
 		if l > lim.chunkCap() {
 			return nil, fmt.Errorf("%w: index declares chunk %d of %d bytes, limit %d",
 				ErrLimit, i, l, lim.chunkCap())
 		}
-		ix.offsets[i] = off
-		off += frameLen(l)
-		if off > idxOff {
-			return nil, fmt.Errorf("%w: index lengths overrun the index frame (chunk %d ends at %d, index at %d)",
-				ErrCorrupt, i, off, idxOff)
-		}
-		if k > 0 && (i%k == k-1 || i == chunks-1) {
-			pl := ib.plens[g]
-			if pl > lim.chunkCap() {
-				return nil, fmt.Errorf("%w: index declares parity frame %d of %d bytes, limit %d",
-					ErrLimit, g, pl, lim.chunkCap())
-			}
-			ix.parityOffs[g] = off
-			off += frameLen(pl)
-			if off > idxOff {
-				return nil, fmt.Errorf("%w: index lengths overrun the index frame (parity %d ends at %d, index at %d)",
-					ErrCorrupt, g, off, idxOff)
-			}
-			g++
+		if span -= frameLen(l); span < 0 {
+			return nil, fmt.Errorf("%w: index lengths overrun the index frame at %d (chunk %d)", ErrCorrupt, idxOff, i)
 		}
 	}
-	if off != idxOff {
+	for g, l := range ib.plens {
+		if span -= frameLen(l); span < 0 {
+			return nil, fmt.Errorf("%w: index lengths overrun the index frame at %d (parity %d)", ErrCorrupt, idxOff, g)
+		}
+	}
+	if span != 0 {
 		return nil, fmt.Errorf("%w: chunk frames end at %d but the index frame begins at %d",
-			ErrCorrupt, off, idxOff)
+			ErrCorrupt, idxOff-span, idxOff)
 	}
-	ix.offsets[chunks] = idxOff
+	ix.offsets, ix.parityOffs = ix.Hdr.frameOffsets(ix.HeaderLen, ib.lens, ib.plens)
 	return ix, nil
 }
 
@@ -144,11 +124,7 @@ func OpenIndex(rs io.ReadSeeker, lim Limits) (*StreamIndex, error) {
 // CRCs on the v2 layout), whose CRC verifies, and whose frame ends
 // exactly at the end of the container.
 func (ix *StreamIndex) findTailIndex(rs io.ReadSeeker, chunks int) (*indexBody, int64, error) {
-	maxIndex := int64(1+binary.MaxVarintLen64+4) + int64(chunks)*binary.MaxVarintLen64
-	if ix.Hdr.ParityK > 0 {
-		maxIndex += int64(1+ix.Hdr.Groups())*binary.MaxVarintLen64 + 4*int64(chunks)
-	}
-	winStart := ix.Size - maxIndex
+	winStart := ix.Size - ix.Hdr.maxIndexLen()
 	if winStart < ix.HeaderLen {
 		winStart = ix.HeaderLen
 	}
@@ -270,7 +246,7 @@ func (fr *FrameReader) Next(scratch []byte) (payload, frame []byte, seq int, err
 	fr.pos = end
 	fr.read += int64(n)
 	fr.next++
-	payload, reason := verifyFrame(frame, fr.ix.Lens[i])
+	payload, reason := checkFrame(frame, tagChunk, fr.ix.Lens[i])
 	if payload == nil {
 		return nil, nil, i, fmt.Errorf("%w: chunk %d: %s", ErrFrameDamaged, i, reason)
 	}
@@ -304,25 +280,13 @@ func (ix *StreamIndex) RepairChunk(rs io.ReadSeeker, seq int) (payload []byte, f
 	if err != nil {
 		return nil, fetched, err
 	}
-	lo, hi := ix.Hdr.GroupRange(g)
-	for i := lo; i < hi; i++ {
-		if i == seq {
-			continue
-		}
+	rec, err := ix.Hdr.reconstruct(acc, seq, ix.Lens[seq], ix.CRCs[seq], func(i int) ([]byte, error) {
 		off, end := ix.FrameExtent(i)
-		sib, err := fetchVerified(rs, off, end, tagChunk, ix.Lens[i],
-			fmt.Sprintf("sibling chunk %d needed to repair chunk %d", i, seq))
 		fetched += end - off
-		if err != nil {
-			return nil, fetched, err
-		}
-		xorInto(acc, sib)
-	}
-	rec := acc[:ix.Lens[seq]]
-	if crc32.ChecksumIEEE(rec) != ix.CRCs[seq] {
-		return nil, fetched, fmt.Errorf("%w: chunk %d: parity reconstruction failed its recorded CRC", ErrCorrupt, seq)
-	}
-	return rec, fetched, nil
+		return fetchVerified(rs, off, end, tagChunk, ix.Lens[i],
+			fmt.Sprintf("sibling chunk %d needed to repair chunk %d", i, seq))
+	})
+	return rec, fetched, err
 }
 
 // fetchVerified seeks to one frame, reads its full extent, and verifies
@@ -337,7 +301,7 @@ func fetchVerified(rs io.ReadSeeker, off, end int64, tag byte, want uint64, what
 	if _, err := io.ReadFull(rs, frame); err != nil {
 		return nil, readErr(err, what)
 	}
-	payload, reason := verifyTaggedFrame(frame, tag, want)
+	payload, reason := checkFrame(frame, tag, want)
 	if payload == nil {
 		return nil, fmt.Errorf("%w: %s: %s", ErrCorrupt, what, reason)
 	}

@@ -38,7 +38,8 @@
 // are big-endian uint32 over the bytes they cover. The chunk payloads
 // are standard self-describing repro.Compress streams; the container
 // does not look inside them. The index makes truncation detectable: a
-// stream without a matching index frame is corrupt by definition.
+// stream without a matching index frame is corrupt by definition, and
+// so is a byte after it.
 package streamfmt
 
 import (
@@ -48,6 +49,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"repro/internal/codecerr"
 	"repro/internal/grid"
@@ -184,6 +186,46 @@ func (h *Header) GroupRange(g int) (lo, hi int) {
 	return lo, hi
 }
 
+// closesGroup reports whether chunk i is the last of its parity group,
+// so that the group's parity frame follows it. It is the one rule for
+// where parity frames sit, used by the writer and every reader.
+func (h *Header) closesGroup(i int) bool {
+	return h.ParityK > 0 && (i%h.ParityK == h.ParityK-1 || i == h.Chunks()-1)
+}
+
+// maxIndexLen bounds the index frame, tag through CRC, for the header's
+// geometry: every count and length at its widest varint.
+func (h *Header) maxIndexLen() int64 {
+	chunks := int64(h.Chunks())
+	n := int64(1+binary.MaxVarintLen64+4) + chunks*binary.MaxVarintLen64
+	if h.ParityK > 0 {
+		n += int64(1+h.Groups())*binary.MaxVarintLen64 + 4*chunks
+	}
+	return n
+}
+
+// frameOffsets lays out the frames an index describes, the first one
+// starting at off: chunk i's frame at offsets[i], and each group's
+// parity frame right after the chunk that closes the group.
+// offsets[len(lens)] is where the last frame ends. It is the one place
+// frame offsets are derived from lengths.
+func (h *Header) frameOffsets(off int64, lens, plens []uint64) (offsets, parityOffs []int64) {
+	offsets = make([]int64, len(lens)+1)
+	parityOffs = make([]int64, len(plens))
+	g := 0
+	for i, l := range lens {
+		offsets[i] = off
+		off += frameLen(l)
+		if h.closesGroup(i) {
+			parityOffs[g] = off
+			off += frameLen(plens[g])
+			g++
+		}
+	}
+	offsets[len(lens)] = off
+	return offsets, parityOffs
+}
+
 func (h *Header) validate() error {
 	if err := grid.Validate(h.Dims, -1); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -204,17 +246,15 @@ func (h *Header) validate() error {
 // WriteChunk, and the index on Finish. With parity enabled it keeps one
 // running XOR accumulator — a single extra chunk-sized buffer, so the
 // pipeline's bounded-memory guarantee survives — and flushes it as a
-// parity frame after every K chunks and after the final partial group.
+// parity frame after each chunk that closes a group (closesGroup).
 type Writer struct {
 	w        io.Writer
+	hdr      Header
 	lens     []uint64
 	plens    []uint64
 	crcs     []uint32
 	parity   []byte
-	parityK  int
-	groupN   int
 	scratch  []byte
-	expect   int
 	finished bool
 }
 
@@ -241,7 +281,8 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	if _, err := w.Write(buf); err != nil {
 		return nil, err
 	}
-	return &Writer{w: w, expect: h.Chunks(), parityK: h.ParityK, lens: make([]uint64, 0, h.Chunks())}, nil
+	h.Dims = slices.Clone(h.Dims)
+	return &Writer{w: w, hdr: h, lens: make([]uint64, 0, h.Chunks())}, nil
 }
 
 // WriteChunk emits one chunk frame. Chunks must be written in field
@@ -250,8 +291,8 @@ func (sw *Writer) WriteChunk(payload []byte) error {
 	if sw.finished {
 		return errors.New("streamfmt: WriteChunk after Finish")
 	}
-	if len(sw.lens) >= sw.expect {
-		return fmt.Errorf("streamfmt: chunk %d exceeds header's %d chunks", len(sw.lens), sw.expect)
+	if len(sw.lens) >= sw.hdr.Chunks() {
+		return fmt.Errorf("streamfmt: chunk %d exceeds header's %d chunks", len(sw.lens), sw.hdr.Chunks())
 	}
 	if len(payload) == 0 || len(payload) > MaxFrameLen {
 		return fmt.Errorf("streamfmt: chunk payload length %d out of (0,%d]", len(payload), MaxFrameLen)
@@ -268,11 +309,10 @@ func (sw *Writer) WriteChunk(payload []byte) error {
 		return err
 	}
 	sw.lens = append(sw.lens, uint64(len(payload)))
-	if sw.parityK > 0 {
+	if sw.hdr.ParityK > 0 {
 		sw.crcs = append(sw.crcs, crc)
 		sw.xorParity(payload)
-		sw.groupN++
-		if sw.groupN == sw.parityK {
+		if sw.hdr.closesGroup(len(sw.lens) - 1) {
 			return sw.writeParity()
 		}
 	}
@@ -314,7 +354,6 @@ func (sw *Writer) writeParity() error {
 		return err
 	}
 	sw.plens = append(sw.plens, uint64(len(sw.parity)))
-	sw.groupN = 0
 	sw.parity = sw.parity[:0]
 	return nil
 }
@@ -331,21 +370,15 @@ func (sw *Writer) Finish() error {
 	if sw.finished {
 		return errors.New("streamfmt: double Finish")
 	}
-	if len(sw.lens) != sw.expect {
-		return fmt.Errorf("streamfmt: wrote %d chunks, header promised %d", len(sw.lens), sw.expect)
-	}
-	if sw.parityK > 0 && sw.groupN > 0 {
-		// Seal the final partial group so every chunk is parity-covered.
-		if err := sw.writeParity(); err != nil {
-			return err
-		}
+	if len(sw.lens) != sw.hdr.Chunks() {
+		return fmt.Errorf("streamfmt: wrote %d chunks, header promised %d", len(sw.lens), sw.hdr.Chunks())
 	}
 	sw.finished = true
 	body := binary.AppendUvarint(nil, uint64(len(sw.lens)))
 	for _, l := range sw.lens {
 		body = binary.AppendUvarint(body, l)
 	}
-	if sw.parityK > 0 {
+	if sw.hdr.ParityK > 0 {
 		body = binary.AppendUvarint(body, uint64(len(sw.plens)))
 		for _, l := range sw.plens {
 			body = binary.AppendUvarint(body, l)
@@ -364,7 +397,8 @@ func (sw *Writer) Finish() error {
 
 // Reader parses a stream container incrementally: NewReader consumes
 // the header, Next returns chunk payloads until the index frame, which
-// it verifies before reporting io.EOF.
+// it verifies before reporting io.EOF. The index must end the container:
+// a byte after it is ErrCorrupt, as it is for OpenIndex and ScanSalvage.
 type Reader struct {
 	br       *bufio.Reader
 	hdr      Header
@@ -372,8 +406,6 @@ type Reader struct {
 	lens     []uint64
 	plens    []uint64
 	crcs     []uint32
-	groupN   int
-	groupMax uint64
 	pbuf     []byte
 	consumed int64
 	done     bool
@@ -394,6 +426,9 @@ func NewReaderLimits(r io.Reader, lim Limits) (*Reader, error) {
 	return sr, nil
 }
 
+// readHeader is the one decoder of the container header. It allocates
+// nothing sized by the declared geometry: the per-chunk tables grow
+// with the frames actually read.
 func (sr *Reader) readHeader() error {
 	var fixed [3]byte
 	if _, err := io.ReadFull(sr.br, fixed[:]); err != nil {
@@ -443,11 +478,7 @@ func (sr *Reader) readHeader() error {
 	if err := sr.hdr.validate(); err != nil {
 		return err
 	}
-	if err := sr.lim.checkHeader(&sr.hdr); err != nil {
-		return err
-	}
-	sr.lens = make([]uint64, 0, sr.hdr.Chunks())
-	return nil
+	return sr.lim.checkHeader(&sr.hdr)
 }
 
 // Header returns the parsed stream header. The returned struct shares
@@ -503,25 +534,13 @@ func (sr *Reader) readChunk(scratch []byte) ([]byte, error) {
 	if len(sr.lens) >= sr.hdr.Chunks() {
 		return nil, fmt.Errorf("%w: more chunk frames than the header's %d", ErrCorrupt, sr.hdr.Chunks())
 	}
-	if sr.hdr.ParityK > 0 && sr.groupN == sr.hdr.ParityK {
+	if sr.parityDue() {
 		return nil, fmt.Errorf("%w: chunk frame where the group's parity frame is due", ErrCorrupt)
 	}
-	plen, err := sr.uvarint()
+	plen, want, err := sr.readFrameHead("chunk")
 	if err != nil {
 		return nil, err
 	}
-	if plen == 0 || plen > MaxFrameLen {
-		return nil, fmt.Errorf("%w: chunk payload length %d", ErrCorrupt, plen)
-	}
-	if plen > sr.lim.chunkCap() {
-		return nil, fmt.Errorf("%w: chunk payload of %d bytes, limit %d", ErrLimit, plen, sr.lim.chunkCap())
-	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(sr.br, crcb[:]); err != nil {
-		return nil, readErr(err, "chunk CRC")
-	}
-	sr.consumed += 4
-	want := binary.BigEndian.Uint32(crcb[:])
 	payload, err := sr.readPayload(scratch, plen)
 	if err != nil {
 		return nil, err
@@ -532,12 +551,42 @@ func (sr *Reader) readChunk(scratch []byte) ([]byte, error) {
 	sr.lens = append(sr.lens, plen)
 	if sr.hdr.ParityK > 0 {
 		sr.crcs = append(sr.crcs, want)
-		sr.groupN++
-		if plen > sr.groupMax {
-			sr.groupMax = plen
-		}
 	}
 	return payload, nil
+}
+
+// parityDue reports whether the last chunk read closed its parity group
+// and the group's parity frame has not been read yet.
+func (sr *Reader) parityDue() bool {
+	n := len(sr.lens)
+	return n > 0 && sr.hdr.closesGroup(n-1) && len(sr.plens) <= (n-1)/sr.hdr.ParityK
+}
+
+// readFrameHead reads the length prefix and CRC that follow a chunk or
+// parity frame's tag, bounding the length by MaxFrameLen and the limits.
+// The prefix must be the shortest encoding of the length: the seekable
+// and salvage readers place frames by frameLen, so a padded prefix
+// would shift every later frame for them.
+func (sr *Reader) readFrameHead(what string) (plen uint64, crc uint32, err error) {
+	start := sr.consumed
+	if plen, err = sr.uvarint(); err != nil {
+		return 0, 0, err
+	}
+	if plen == 0 || plen > MaxFrameLen {
+		return 0, 0, fmt.Errorf("%w: %s payload length %d", ErrCorrupt, what, plen)
+	}
+	if sr.consumed-start != int64(uvarintLen(plen)) {
+		return 0, 0, fmt.Errorf("%w: %s length prefix for %d bytes is %d bytes wide", ErrCorrupt, what, plen, sr.consumed-start)
+	}
+	if plen > sr.lim.chunkCap() {
+		return 0, 0, fmt.Errorf("%w: %s payload of %d bytes, limit %d", ErrLimit, what, plen, sr.lim.chunkCap())
+	}
+	var crcb [4]byte
+	if _, err := io.ReadFull(sr.br, crcb[:]); err != nil {
+		return 0, 0, readErr(err, what+" CRC")
+	}
+	sr.consumed += 4
+	return plen, binary.BigEndian.Uint32(crcb[:]), nil
 }
 
 // readParity verifies one parity frame in place. The payload is
@@ -545,31 +594,24 @@ func (sr *Reader) readChunk(scratch []byte) ([]byte, error) {
 // never uses parity content, so it is not materialized — but its length
 // still counts toward the chunk limit like any other frame.
 func (sr *Reader) readParity() error {
-	k := sr.hdr.ParityK
-	if k == 0 {
-		return fmt.Errorf("%w: parity frame in a parity-free container", ErrCorrupt)
+	if !sr.parityDue() {
+		k := sr.hdr.ParityK
+		switch n := len(sr.lens) - len(sr.plens)*k; {
+		case k == 0:
+			return fmt.Errorf("%w: parity frame in a parity-free container", ErrCorrupt)
+		case n == 0:
+			return fmt.Errorf("%w: parity frame without preceding group chunks", ErrCorrupt)
+		default:
+			return fmt.Errorf("%w: parity frame after %d of the group's %d chunks", ErrCorrupt, n, k)
+		}
 	}
-	if sr.groupN == 0 {
-		return fmt.Errorf("%w: parity frame without preceding group chunks", ErrCorrupt)
-	}
-	if sr.groupN < k && len(sr.lens) != sr.hdr.Chunks() {
-		return fmt.Errorf("%w: parity frame after %d of the group's %d chunks", ErrCorrupt, sr.groupN, k)
-	}
-	plen, err := sr.uvarint()
+	plen, want, err := sr.readFrameHead("parity")
 	if err != nil {
 		return err
 	}
-	if plen > sr.lim.chunkCap() {
-		return fmt.Errorf("%w: parity frame of %d bytes, limit %d", ErrLimit, plen, sr.lim.chunkCap())
+	if glen := groupParityLen(sr.lens, &sr.hdr, len(sr.plens)); plen != glen {
+		return fmt.Errorf("%w: parity frame length %d, longest group chunk %d", ErrCorrupt, plen, glen)
 	}
-	if plen != sr.groupMax {
-		return fmt.Errorf("%w: parity frame length %d, longest group chunk %d", ErrCorrupt, plen, sr.groupMax)
-	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(sr.br, crcb[:]); err != nil {
-		return readErr(err, "parity CRC")
-	}
-	sr.consumed += 4
 	if sr.pbuf == nil {
 		sr.pbuf = make([]byte, 32<<10)
 	}
@@ -587,11 +629,10 @@ func (sr *Reader) readParity() error {
 		_, _ = h.Write(sr.pbuf[:grab]) // hash.Hash.Write never errors
 		left -= grab
 	}
-	if h.Sum32() != binary.BigEndian.Uint32(crcb[:]) {
+	if h.Sum32() != want {
 		return fmt.Errorf("%w: parity frame %d checksum mismatch", ErrCorrupt, len(sr.plens))
 	}
 	sr.plens = append(sr.plens, plen)
-	sr.groupN, sr.groupMax = 0, 0
 	return nil
 }
 
@@ -627,69 +668,32 @@ func (sr *Reader) readPayload(scratch []byte, n uint64) ([]byte, error) {
 	return buf, nil
 }
 
+// readIndex reads the index frame after its tag. The frame must end the
+// container, so the reader takes what is left, up to one byte more than
+// the longest index the chunks read could need, and parseIndexAt must
+// consume it exactly; the index must then repeat the frames read. The
+// bound comes from chunk frames actually read, never from the header
+// alone.
 func (sr *Reader) readIndex() error {
-	if sr.hdr.ParityK > 0 && sr.groupN != 0 {
+	if sr.parityDue() {
 		return fmt.Errorf("%w: index frame before the final group's parity frame", ErrCorrupt)
 	}
-	count, err := sr.uvarint()
+	if len(sr.lens) != sr.hdr.Chunks() {
+		return fmt.Errorf("%w: index frame after %d of the header's %d chunks", ErrCorrupt, len(sr.lens), sr.hdr.Chunks())
+	}
+	body, rerr := io.ReadAll(io.LimitReader(sr.br, sr.hdr.maxIndexLen()))
+	sr.consumed += int64(len(body))
+	ib, err := parseIndexAt(body, &sr.hdr)
+	if err != nil && rerr != nil {
+		// The read failed before a complete index arrived. A failure
+		// after one lies past the container's end and is not seen.
+		return readErr(rerr, "index frame")
+	}
 	if err != nil {
 		return err
 	}
-	if count != uint64(len(sr.lens)) || count != uint64(sr.hdr.Chunks()) {
-		return fmt.Errorf("%w: index counts %d chunks, read %d, header promised %d",
-			ErrCorrupt, count, len(sr.lens), sr.hdr.Chunks())
-	}
-	body := binary.AppendUvarint(nil, count)
-	for i := range sr.lens {
-		l, err := sr.uvarint()
-		if err != nil {
-			return err
-		}
-		if l != sr.lens[i] {
-			return fmt.Errorf("%w: index length %d disagrees with chunk %d frame (%d)", ErrCorrupt, l, i, sr.lens[i])
-		}
-		body = binary.AppendUvarint(body, l)
-	}
-	if sr.hdr.ParityK > 0 {
-		pc, err := sr.uvarint()
-		if err != nil {
-			return err
-		}
-		if pc != uint64(len(sr.plens)) || pc != uint64(sr.hdr.Groups()) {
-			return fmt.Errorf("%w: index counts %d parity frames, read %d, header implies %d",
-				ErrCorrupt, pc, len(sr.plens), sr.hdr.Groups())
-		}
-		body = binary.AppendUvarint(body, pc)
-		for g := range sr.plens {
-			l, err := sr.uvarint()
-			if err != nil {
-				return err
-			}
-			if l != sr.plens[g] {
-				return fmt.Errorf("%w: index parity length %d disagrees with group %d frame (%d)",
-					ErrCorrupt, l, g, sr.plens[g])
-			}
-			body = binary.AppendUvarint(body, l)
-		}
-		var cb [4]byte
-		for i := range sr.crcs {
-			if _, err := io.ReadFull(sr.br, cb[:]); err != nil {
-				return readErr(err, "index chunk CRC")
-			}
-			sr.consumed += 4
-			if binary.BigEndian.Uint32(cb[:]) != sr.crcs[i] {
-				return fmt.Errorf("%w: index CRC for chunk %d disagrees with its frame", ErrCorrupt, i)
-			}
-			body = append(body, cb[:]...)
-		}
-	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(sr.br, crcb[:]); err != nil {
-		return readErr(err, "index CRC")
-	}
-	sr.consumed += 4
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(crcb[:]) {
-		return fmt.Errorf("%w: index checksum mismatch", ErrCorrupt)
+	if !slices.Equal(ib.lens, sr.lens) || !slices.Equal(ib.plens, sr.plens) || !slices.Equal(ib.crcs, sr.crcs) {
+		return fmt.Errorf("%w: index disagrees with the frames read", ErrCorrupt)
 	}
 	return nil
 }

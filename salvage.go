@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -109,22 +108,13 @@ func DecompressStreamSalvage(r io.Reader, w io.Writer, limits *DecodeLimits) (_ 
 		}
 	}
 
-	var out []byte
+	sink := rawSink(w, false)
 	emit := func(vals []float64) error {
-		need := len(vals) * 8
-		if cap(out) < need {
-			//lint:allow allochot grows once to the largest chunk, then reused across all chunks
-			out = make([]byte, need)
+		n, err := sink(vals)
+		if err == nil {
+			rep.BytesOut += n
 		}
-		out = out[:need]
-		for i, v := range vals {
-			binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-		}
-		if _, err := w.Write(out); err != nil {
-			return err
-		}
-		rep.BytesOut += int64(need)
-		return nil
+		return err
 	}
 
 	var nanRow []float64

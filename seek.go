@@ -245,18 +245,6 @@ func (h *StreamHandle) readRows(ctx context.Context, start, count uint64, outByt
 		repaired++
 		return decodeJob{seq: seq, in: payload, buf: payload}, nil
 	}
-	work := func(jb *decodeJob) error {
-		dec, err := decodeChunk(jb.in, hdr.ChunkRowCount(jb.seq), hdr.Dims)
-		select {
-		case free <- jb.buf:
-		default:
-		}
-		if err != nil {
-			return fmt.Errorf("chunk %d: %w", jb.seq, err)
-		}
-		jb.dec = dec
-		return nil
-	}
 	consume := func(jb *decodeJob) error {
 		chunkLo := uint64(jb.seq) * chunkRows
 		gLo := max(chunkLo, start)
@@ -264,7 +252,7 @@ func (h *StreamHandle) readRows(ctx context.Context, start, count uint64, outByt
 		emit(int((gLo-start)*stride), jb.dec[(gLo-chunkLo)*stride:(gHi-chunkLo)*stride])
 		return nil
 	}
-	pt, err := runChunkPool(ctx, workers, produce, work, consume)
+	pt, err := runChunkPool(ctx, workers, produce, decodeStep(hdr, free), consume)
 
 	h.stats.Chunks += chunks
 	h.stats.BytesIn += fr.BytesRead() + repairBytes

@@ -378,7 +378,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // beyond those already in flight, drains the worker pool, and returns
 // with no goroutines left behind.
 func DecompressStreamOpts(r io.Reader, w io.Writer, opts ...StreamOption) (*StreamStats, error) {
-	return decompressStream(resolveStreamConfig(opts), r, w)
+	cfg := resolveStreamConfig(opts)
+	stats, _, err := decompressStream(cfg, r, rawSink(w, cfg.Float32))
+	return stats, err
 }
 
 // DecompressStream is DecompressStreamOpts with no options: it decodes
@@ -388,32 +390,59 @@ func DecompressStream(r io.Reader, w io.Writer) (*StreamStats, error) {
 	return DecompressStreamOpts(r, w)
 }
 
-// decompressStream is the decode pipeline behind every stream-decode
-// entry point, driven by a resolved StreamConfig.
-func decompressStream(cfg *StreamConfig, r io.Reader, w io.Writer) (_ *StreamStats, err error) {
+// rawSink returns a decode sink that writes each chunk's values to w as
+// raw little-endian floats (float32 when narrow), through one buffer
+// reused across chunks, and reports the bytes written.
+func rawSink(w io.Writer, narrow bool) func(vals []float64) (int64, error) {
+	var out []byte
+	return func(vals []float64) (int64, error) {
+		need := len(vals) * 8
+		if narrow {
+			need = len(vals) * 4
+		}
+		if cap(out) < need {
+			out = make([]byte, need)
+		}
+		out = out[:need]
+		if narrow {
+			for i, v := range vals {
+				binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(float32(v)))
+			}
+		} else {
+			for i, v := range vals {
+				binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
+			}
+		}
+		_, err := w.Write(out)
+		return int64(need), err
+	}
+}
+
+// decompressStream is the decode pipeline behind every sequential
+// stream-decode entry point, driven by a resolved StreamConfig: it hands
+// each chunk's values, in field order, to emit, which reports the bytes
+// it produced. It returns the field dims from the container header.
+func decompressStream(cfg *StreamConfig, r io.Reader, emit func(vals []float64) (int64, error)) (_ *StreamStats, _ []int, err error) {
 	defer recoverDecode(&err)
 	ctx := orDefault(cfg.Ctx)
-	limits := cfg.Limits
 	elemSize := 8
 	if cfg.Float32 {
 		elemSize = 4
 	}
 	if cfg.MemoryBudget < 0 {
-		return nil, fmt.Errorf("repro: negative memory budget %d", cfg.MemoryBudget)
+		return nil, nil, fmt.Errorf("repro: negative memory budget %d", cfg.MemoryBudget)
 	}
-	sr, err := streamfmt.NewReaderLimits(r, limits.streamLimits())
+	sr, err := streamfmt.NewReaderLimits(r, cfg.Limits.streamLimits())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	hdr := sr.Header()
-	dims := hdr.Dims
-	rowStride := hdr.RowStride()
 	expChunks := hdr.Chunks()
 	workers := cfg.defaultWorkers()
 	if cfg.Workers <= 0 && cfg.MemoryBudget > 0 {
 		// The chunk geometry is the container's, so the budget can only
 		// temper the worker count here.
-		workers = budgetWorkersFor(cfg.MemoryBudget, hdr.ChunkRows*rowStride, elemSize, workers)
+		workers = budgetWorkersFor(cfg.MemoryBudget, hdr.ChunkRows*hdr.RowStride(), elemSize, workers)
 	}
 	if workers > expChunks {
 		workers = expChunks
@@ -423,27 +452,18 @@ func decompressStream(cfg *StreamConfig, r io.Reader, w io.Writer) (_ *StreamSta
 	// producer goroutine and Chunks/BytesOut on the consumer.
 	stats := &StreamStats{}
 	free := make(chan []byte, workers+2)
-	var out []byte
 	seq := 0
 	pt, err := runChunkPool(ctx, workers,
 		func() (decodeJob, error) {
-			if seq == expChunks {
-				// All chunks read: the next frame must be the index.
-				_, err := sr.Next(nil)
-				if err == nil {
-					err = fmt.Errorf("%w: extra frame after final chunk", ErrCorrupt)
-				}
-				return decodeJob{}, err
-			}
 			var scratch []byte
 			select {
 			case scratch = <-free:
 			default:
 			}
+			// The reader holds the frames to the header's chunk count and
+			// returns io.EOF, ending the pipeline, only once the index
+			// after the last chunk has verified.
 			payload, err := sr.Next(scratch)
-			if err == io.EOF {
-				err = fmt.Errorf("%w: index frame before chunk %d", ErrCorrupt, seq)
-			}
 			if err != nil {
 				return decodeJob{}, err
 			}
@@ -455,45 +475,40 @@ func decompressStream(cfg *StreamConfig, r io.Reader, w io.Writer) (_ *StreamSta
 			seq++
 			return jb, nil
 		},
+		decodeStep(&hdr, free),
 		func(jb *decodeJob) error {
-			dec, err := decodeChunk(jb.in, hdr.ChunkRowCount(jb.seq), dims)
-			select {
-			case free <- jb.buf:
-			default:
-			}
+			n, err := emit(jb.dec)
 			if err != nil {
 				return fmt.Errorf("chunk %d: %w", jb.seq, err)
 			}
-			jb.dec = dec
-			return nil
-		},
-		func(jb *decodeJob) error {
-			need := len(jb.dec) * elemSize
-			if cap(out) < need {
-				out = make([]byte, need)
-			}
-			out = out[:need]
-			if elemSize == 8 {
-				for i, v := range jb.dec {
-					binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-				}
-			} else {
-				for i, v := range jb.dec {
-					binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(float32(v)))
-				}
-			}
-			if _, err := w.Write(out); err != nil {
-				return fmt.Errorf("chunk %d: %w", jb.seq, err)
-			}
 			stats.Chunks++
-			stats.BytesOut += int64(need)
+			stats.BytesOut += n
 			return nil
 		})
 	stats.ReadWall, stats.CodecWall, stats.WriteWall = pt.read, pt.codec, pt.write
 	stats.MaxInFlight = pt.maxInFlight
 	stats.BytesIn = sr.Consumed()
 	stats.ParityFrames = sr.ParityRead()
-	return stats, err
+	return stats, hdr.Dims, err
+}
+
+// decodeStep is the codec step of both 0xC8 decode paths, sequential
+// (decompressStream) and seekable (StreamHandle.readRows): it decodes
+// one chunk of the container hdr describes and hands the chunk's frame
+// buffer back to free for the producer to reuse.
+func decodeStep(hdr *streamfmt.Header, free chan<- []byte) func(*decodeJob) error {
+	return func(jb *decodeJob) error {
+		dec, err := decodeChunk(jb.in, hdr.ChunkRowCount(jb.seq), hdr.Dims)
+		select {
+		case free <- jb.buf:
+		default:
+		}
+		if err != nil {
+			return fmt.Errorf("chunk %d: %w", jb.seq, err)
+		}
+		jb.dec = dec
+		return nil
+	}
 }
 
 // IsStreamContainer reports whether buf starts a CompressStreamOpts
@@ -504,22 +519,18 @@ func IsStreamContainer(buf []byte) bool {
 }
 
 // decompressStreamBuf decodes an in-memory stream container (the
-// convenience path behind DecompressAny; the streaming path is
-// DecompressStreamOpts).
+// convenience path behind DecompressAny) through the same pipeline as
+// DecompressStreamOpts, collecting values rather than bytes. The output
+// grows with the decoded chunks and is never sized from the header.
 func decompressStreamBuf(buf []byte, limits *DecodeLimits) ([]float64, []int, error) {
-	hr, err := streamfmt.NewReaderLimits(bytes.NewReader(buf), limits.streamLimits())
+	var data []float64
+	_, dims, err := decompressStream(resolveStreamConfig([]StreamOption{WithLimits(limits)}), bytes.NewReader(buf),
+		func(vals []float64) (int64, error) {
+			data = append(data, vals...)
+			return int64(len(vals)) * 8, nil
+		})
 	if err != nil {
 		return nil, nil, err
-	}
-	dims := append([]int(nil), hr.Header().Dims...)
-	var out bytes.Buffer
-	if _, err := DecompressStreamOpts(bytes.NewReader(buf), &out, WithLimits(limits)); err != nil {
-		return nil, nil, err
-	}
-	raw := out.Bytes()
-	data := make([]float64, len(raw)/8)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 	}
 	return data, dims, nil
 }
